@@ -4,8 +4,8 @@
  *
  * Every scenario runs with the always-on observability path enabled:
  * each cell streams its events and metrics snapshots to a CNBLG01
- * binary log (DESIGN.md 3j) with a metrics interval, exactly as the
- * sweep farm runs it. The per-organization scenario additionally runs
+ * binary log (DESIGN.md 3j) with a metrics interval. The
+ * per-organization scenario additionally runs
  * an obs-disabled twin of every rep, interleaved so host drift hits
  * both sides equally, and reports obs_overhead = 1 - on/off per org;
  * tools/perfcmp holds that overhead to a hard 5% ceiling.
@@ -62,24 +62,6 @@
  *    the organizations, so a change that makes sampling fast by
  *    making it wrong fails the gate just as loudly as a slowdown.
  *
- * 4. The sweep-farm scenario (DESIGN.md 3l): the same 7-organization
- *    grid dispatched to worker processes by farm::runFarm, measured
- *    four ways per rep -- in-process (the thread-pool baseline, each
- *    job capturing a warmed checkpoint blob just like a cold worker
- *    does, so the comparison isolates the farm machinery), cold
- *    farm (fresh cache directory: every cell computed by a worker,
- *    results and warmed checkpoints published), warm farm (identical
- *    grid, same directory: every cell a result-cache hit), and
- *    checkpoint-assisted farm (a longer measurement budget in the same
- *    directory: result misses, but every cell resumes from its cached
- *    warmed CNCKPT01 blob instead of re-warming). The gates:
- *    warm >= 10x cold, ckpt-assisted >= 2x cold, and cold within 10%
- *    of in-process -- all paired same-host ratios that drift cancels
- *    out of. The farm cells run without binlogs (a cell writing
- *    side-effect files is not cacheable, and the warm arm exists to
- *    measure cache hits); all four arms share that shape, so the
- *    comparison stays apples-to-apples.
- *
  * Each measurement is repeated CNSIM_PERF_REPS times (default 5);
  * p50/p95 of the repetitions are written as JSON so tools/perfcmp can
  * diff two runs and fail CI on a regression. The budgets are
@@ -88,24 +70,18 @@
  * across commits.
  *
  * Usage: perf_gate [output.json]   (default: BENCH_perf.json)
- *        perf_gate --worker [--cache-dir <dir>]   (farm worker mode)
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hh"
-#include "farm/cache.hh"
-#include "farm/cell.hh"
-#include "farm/coordinator.hh"
-#include "farm/worker.hh"
 #include "trace/replay.hh"
 
 using namespace cnsim;
@@ -151,8 +127,7 @@ struct OrgResult
 /** Binlog + metrics interval used by every obs-enabled scenario. */
 constexpr Tick obs_metrics_interval = 100'000;
 
-/** Obs-enabled twin of @p cfg: binlog streaming + metrics snapshots,
- *  the configuration the sweep farm actually runs. */
+/** Obs-enabled twin of @p cfg: binlog streaming + metrics snapshots. */
 SystemConfig
 withObs(const SystemConfig &cfg, const std::string &tag)
 {
@@ -452,159 +427,11 @@ measureSampledSweep(int reps)
     return s;
 }
 
-// Farm scenario: warm-up dominates the cell cost (12:1) so the
-// checkpoint-assisted arm has headroom to clear its 2x gate -- a
-// resumed cell still pays to restore the warmed state and to
-// regenerate the skipped stream up to its cursor (materialized
-// flat-chunk replay makes that a raw generator pass, a fraction of
-// simulating it), so the ratio needs a deep warm-up to show -- while
-// the measurement budget stays long enough that per-cell scheduling
-// overhead is a small fraction of the cold arm (the
-// within-10%-of-in-process gate).
-constexpr std::uint64_t farm_warmup = 12'000'000;
-constexpr std::uint64_t farm_measure = 1'000'000;
-// The checkpoint-assisted arm's budget: different from farm_measure so
-// every cellKey misses the result cache, while ckptKey -- which
-// ignores measurement-side parameters -- still hits the warmed blob.
-constexpr std::uint64_t farm_ckpt_measure = 1'200'000;
-constexpr unsigned farm_workers = 1;
-constexpr const char *farm_cache_root = "perf_farm_cache";
-
-struct FarmResult
-{
-    double inproc_ms_p50 = 0.0;  //!< thread-pool baseline, same cells
-    double cold_ms_p50 = 0.0;    //!< farm, empty cache: compute all
-    double warm_ms_p50 = 0.0;    //!< farm, result-cache hits only
-    double ckpt_ms_p50 = 0.0;    //!< farm, ckpt hits + result misses
-    double warm_speedup = 0.0;   //!< cold_ms_p50 / warm_ms_p50
-    double ckpt_speedup = 0.0;   //!< cold_ms_p50 / ckpt_ms_p50
-    double cold_vs_inproc = 0.0; //!< cold_ms_p50 / inproc_ms_p50
-};
-
-/** The 7-organization farm grid at measurement budget @p measure. */
-std::vector<farm::CellSpec>
-farmCells(std::uint64_t measure)
-{
-    std::vector<farm::CellSpec> cells;
-    for (L2Kind k : sweep_orgs) {
-        farm::CellSpec spec;
-        spec.l2_kind = static_cast<std::uint32_t>(k);
-        spec.workload = pinned_workload;
-        spec.warmup = farm_warmup;
-        spec.measure = measure;
-        cells.push_back(spec);
-    }
-    return cells;
-}
-
-/** One timed in-process run of @p cells (the farm's baseline side).
- *  Every job captures a warmed-state checkpoint blob, exactly like a
- *  cold farm worker publishing to the checkpoint cache, so the
- *  cold-vs-inproc ratio isolates the process-farm machinery (fork,
- *  frames, cache files) instead of charging the farm for capture work
- *  the baseline skipped. */
-double
-inprocOnceMs(const std::vector<farm::CellSpec> &cells)
-{
-    ParallelRunner pool(benchutil::jobsFromEnv());
-    std::vector<std::shared_ptr<std::string>> blobs;
-    for (const farm::CellSpec &spec : cells) {
-        ParallelJob job = farm::buildJob(spec);
-        blobs.push_back(std::make_shared<std::string>());
-        job.run_cfg.ckpt_blob_out = blobs.back();
-        pool.submit(job.sys_cfg, job.workload, job.run_cfg);
-    }
-    double t0 = nowSeconds();
-    std::vector<RunResult> results = pool.run();
-    double ms = (nowSeconds() - t0) * 1e3;
-    cnsim_assert(results.size() == num_sweep_orgs, "sweep lost cells");
-    return ms;
-}
-
-/** One timed farm run of @p cells against @p cache_dir. */
-double
-farmOnceMs(const std::vector<farm::CellSpec> &cells,
-           const std::string &cache_dir)
-{
-    farm::FarmOptions fo;
-    fo.workers = farm_workers;
-    fo.cache_dir = cache_dir;
-    fo.progress = false;
-    double t0 = nowSeconds();
-    std::vector<RunResult> results = farm::runFarm(cells, fo);
-    double ms = (nowSeconds() - t0) * 1e3;
-    cnsim_assert(results.size() == num_sweep_orgs, "sweep lost cells");
-    return ms;
-}
-
-/** Unlink every entry @p cells can have left in @p cache_dir, then the
- *  directory itself, so the next rep's cold arm is genuinely cold. */
-void
-dropFarmCache(const std::vector<farm::CellSpec> &cells,
-              const std::string &cache_dir)
-{
-    farm::Cache cache(cache_dir);
-    for (const farm::CellSpec &spec : cells) {
-        std::remove(cache.entryPath('r', farm::cellKey(spec)).c_str());
-        std::remove(cache.entryPath('c', farm::ckptKey(spec)).c_str());
-    }
-    std::remove(cache_dir.c_str());
-}
-
-FarmResult
-measureFarm(int reps)
-{
-    std::vector<farm::CellSpec> cells = farmCells(farm_measure);
-    std::vector<farm::CellSpec> longer = farmCells(farm_ckpt_measure);
-
-    FarmResult s;
-    std::vector<double> inproc_ms, cold_ms, warm_ms, ckpt_ms;
-    for (int i = 0; i < reps; ++i) {
-        // All four arms run within the rep, in a fixed order, so slow
-        // host drift cancels out of the paired ratios. Each rep gets a
-        // fresh cache directory: cold computes and publishes, warm
-        // re-runs the same grid (pure result hits), ckpt runs the
-        // longer grid (result misses resuming from the cached warmed
-        // state), then the entries are dropped for the next rep.
-        inproc_ms.push_back(inprocOnceMs(cells));
-        cold_ms.push_back(farmOnceMs(cells, farm_cache_root));
-        warm_ms.push_back(farmOnceMs(cells, farm_cache_root));
-        ckpt_ms.push_back(farmOnceMs(longer, farm_cache_root));
-        dropFarmCache(longer, farm_cache_root);
-        dropFarmCache(cells, farm_cache_root);
-        std::fprintf(stderr,
-                     "  farm7 rep %d/%d: inproc %.0f ms, cold %.0f, "
-                     "warm %.0f, ckpt %.0f\n",
-                     i + 1, reps, inproc_ms.back(), cold_ms.back(),
-                     warm_ms.back(), ckpt_ms.back());
-    }
-    s.inproc_ms_p50 = percentile(inproc_ms, 50.0);
-    s.cold_ms_p50 = percentile(cold_ms, 50.0);
-    s.warm_ms_p50 = percentile(warm_ms, 50.0);
-    s.ckpt_ms_p50 = percentile(ckpt_ms, 50.0);
-    s.warm_speedup =
-        s.warm_ms_p50 > 0.0 ? s.cold_ms_p50 / s.warm_ms_p50 : 0.0;
-    s.ckpt_speedup =
-        s.ckpt_ms_p50 > 0.0 ? s.cold_ms_p50 / s.ckpt_ms_p50 : 0.0;
-    s.cold_vs_inproc =
-        s.inproc_ms_p50 > 0.0 ? s.cold_ms_p50 / s.inproc_ms_p50 : 0.0;
-    return s;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    // Farm worker mode: runFarm re-executes this binary, so the
-    // perf_gate binary is its own worker (farm/coordinator.hh).
-    if (argc > 1 && std::strcmp(argv[1], "--worker") == 0) {
-        std::string cache_dir;
-        if (argc > 3 && std::strcmp(argv[2], "--cache-dir") == 0)
-            cache_dir = argv[3];
-        return farm::workerMain(cache_dir);
-    }
-
     std::string out = argc > 1 ? argv[1] : "BENCH_perf.json";
     int reps = static_cast<int>(benchutil::envU64("CNSIM_PERF_REPS", 5));
     unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
@@ -633,7 +460,6 @@ main(int argc, char **argv)
 
     SweepResult sweep = measureSweep(reps);
     SampledSweepResult sampled = measureSampledSweep(reps);
-    FarmResult farm = measureFarm(reps);
 
     // The sweep cells' binlogs exist to keep the obs path inside the
     // timed region, not as artifacts: drop them.
@@ -680,20 +506,6 @@ main(int argc, char **argv)
                 sampled.sampled_ms_p50, sampled.sampled_ms_best);
     std::printf("  speedup %.2fx  max IPC error %.4f\n",
                 sampled.speedup, sampled.max_ipc_err);
-    std::printf("\nsweep farm (%s, %llu+%llu per core, %u worker "
-                "process%s):\n",
-                pinned_workload,
-                static_cast<unsigned long long>(farm_warmup),
-                static_cast<unsigned long long>(farm_measure),
-                farm_workers, farm_workers == 1 ? "" : "es");
-    std::printf("  inproc p50 %8.0f ms\n", farm.inproc_ms_p50);
-    std::printf("  cold   p50 %8.0f ms (%.2fx of inproc)\n",
-                farm.cold_ms_p50, farm.cold_vs_inproc);
-    std::printf("  warm   p50 %8.0f ms (%.1fx faster than cold)\n",
-                farm.warm_ms_p50, farm.warm_speedup);
-    std::printf("  ckpt   p50 %8.0f ms (%.1fx faster than cold)\n",
-                farm.ckpt_ms_p50, farm.ckpt_speedup);
-
     FILE *f = std::fopen(out.c_str(), "w");
     if (!f)
         fatal("cannot open %s for writing", out.c_str());
@@ -762,27 +574,6 @@ main(int argc, char **argv)
                  sampled.sampled_ms_best);
     std::fprintf(f, "    \"speedup\": %.3f,\n", sampled.speedup);
     std::fprintf(f, "    \"max_ipc_err\": %.5f\n", sampled.max_ipc_err);
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"farm\": {\n");
-    std::fprintf(f, "    \"orgs\": %zu,\n", num_sweep_orgs);
-    std::fprintf(f, "    \"workers\": %u,\n", farm_workers);
-    std::fprintf(f, "    \"warmup\": %llu,\n",
-                 static_cast<unsigned long long>(farm_warmup));
-    std::fprintf(f, "    \"measure\": %llu,\n",
-                 static_cast<unsigned long long>(farm_measure));
-    std::fprintf(f, "    \"ckpt_measure\": %llu,\n",
-                 static_cast<unsigned long long>(farm_ckpt_measure));
-    std::fprintf(f, "    \"inproc_ms_p50\": %.1f,\n",
-                 farm.inproc_ms_p50);
-    std::fprintf(f, "    \"cold_ms_p50\": %.1f,\n", farm.cold_ms_p50);
-    std::fprintf(f, "    \"warm_ms_p50\": %.1f,\n", farm.warm_ms_p50);
-    std::fprintf(f, "    \"ckpt_ms_p50\": %.1f,\n", farm.ckpt_ms_p50);
-    std::fprintf(f, "    \"warm_speedup\": %.3f,\n",
-                 farm.warm_speedup);
-    std::fprintf(f, "    \"ckpt_speedup\": %.3f,\n",
-                 farm.ckpt_speedup);
-    std::fprintf(f, "    \"cold_vs_inproc\": %.3f\n",
-                 farm.cold_vs_inproc);
     std::fprintf(f, "  }\n}\n");
     std::fclose(f);
     std::fprintf(stderr, "wrote %s\n", out.c_str());

@@ -1,6 +1,8 @@
 #include "common/logging.hh"
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -132,6 +134,26 @@ bool
 quiet()
 {
     return quiet_flag.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+parseUnsignedFlag(const std::string &flag, const char *text,
+                  std::uint64_t lo, std::uint64_t hi, int base)
+{
+    // strtoull skips leading blanks and negates a leading '-', so the
+    // first character must already be a digit.
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(text, &end, base);
+    if (std::isdigit(static_cast<unsigned char>(text[0])) &&
+        *end == '\0' && errno != ERANGE && v >= lo && v <= hi)
+        return v;
+    if (hi == UINT64_MAX)
+        fatal("%s needs an integer >= %llu, got '%s'", flag.c_str(),
+              static_cast<unsigned long long>(lo), text);
+    fatal("%s needs an integer in %llu..%llu, got '%s'", flag.c_str(),
+          static_cast<unsigned long long>(lo),
+          static_cast<unsigned long long>(hi), text);
 }
 
 } // namespace cnsim

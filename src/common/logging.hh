@@ -20,6 +20,7 @@
 #define CNSIM_COMMON_LOGGING_HH
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 
 namespace cnsim
@@ -65,6 +66,18 @@ void setQuiet(bool quiet);
 
 /** @return true when inform()/warn() output is suppressed. */
 bool quiet();
+
+/**
+ * Parse the value @p text of command-line option @p flag: the whole
+ * string must be an unsigned integer in [@p lo, @p hi] (decimal, or C
+ * notation such as 0x1f40 when @p base is 0), else fatal() naming the
+ * option. strtoull alone stops at the first stray character, reading
+ * "1e5" as 1 and "-1" as 2^64 - 1.
+ */
+std::uint64_t parseUnsignedFlag(const std::string &flag, const char *text,
+                                std::uint64_t lo = 0,
+                                std::uint64_t hi = UINT64_MAX,
+                                int base = 10);
 
 /**
  * Assert a simulator invariant; on failure, panic with location info.

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -10,9 +9,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "common/fnv.hh"
 #include "common/logging.hh"
 #include "farm/cell.hh"
-#include "obs/frame.hh"
 #include "sample/checkpoint.hh"
 
 namespace cnsim
@@ -23,14 +22,12 @@ namespace farm
 namespace
 {
 
-constexpr char entry_magic[8] = {'C', 'N', 'F', 'A', 'R', 'M', '0', '1'};
+/** Entry layout: this magic, a kind byte ('r' or 'c'), the payload,
+ *  then a u64 FNV-1a of every byte before it. */
+constexpr char entry_magic[8] = {'C', 'N', 'F', 'A', 'R', 'M', '0', '2'};
 
-/** Frame types inside cache entries: 'r' result, 'c' checkpoint. */
-std::uint8_t
-entryFrameType(char kind)
-{
-    return static_cast<std::uint8_t>(kind);
-}
+/** Bytes ahead of the payload: the magic and the kind byte. */
+constexpr std::size_t entry_header = sizeof(entry_magic) + 1;
 
 /** mkdir -p: create @p dir and its ancestors; false on failure. */
 bool
@@ -79,18 +76,6 @@ Cache::Cache(const std::string &dir) : root(dir)
 }
 
 std::string
-Cache::defaultDir()
-{
-    if (const char *dir = std::getenv("CNSIM_CACHE_DIR"))
-        return dir;
-    if (const char *xdg = std::getenv("XDG_CACHE_HOME"))
-        return std::string(xdg) + "/cnsim";
-    if (const char *home = std::getenv("HOME"))
-        return std::string(home) + "/.cache/cnsim";
-    return "";
-}
-
-std::string
 Cache::entryPath(char kind, std::uint64_t key) const
 {
     return root + "/" + kind + "-" + keyString(key) + ".cnf";
@@ -112,22 +97,17 @@ Cache::loadEntry(char kind, std::uint64_t key, std::string &payload) const
         ::unlink(path.c_str());
         return false;
     };
-    if (bytes.size() < sizeof(entry_magic) ||
+    std::uint64_t stored = 0;
+    if (bytes.size() < entry_header + sizeof(stored) ||
         std::memcmp(bytes.data(), entry_magic, sizeof(entry_magic)) != 0)
         return reject("bad magic");
-    obs::Frame frame;
-    std::size_t consumed = 0;
-    obs::FrameStatus st = obs::decodeFrame(
-        reinterpret_cast<const std::uint8_t *>(bytes.data()) +
-            sizeof(entry_magic),
-        bytes.size() - sizeof(entry_magic), frame, consumed);
-    if (st != obs::FrameStatus::Ok)
-        return reject("frame checksum or length mismatch");
-    if (consumed != bytes.size() - sizeof(entry_magic))
-        return reject("trailing bytes");
-    if (frame.type != entryFrameType(kind))
+    const std::size_t body = bytes.size() - sizeof(stored);
+    std::memcpy(&stored, bytes.data() + body, sizeof(stored));
+    if (fnv1a(bytes.data(), body) != stored)
+        return reject("checksum mismatch");
+    if (bytes[sizeof(entry_magic)] != kind)
         return reject("wrong entry kind");
-    payload = std::move(frame.payload);
+    payload.assign(bytes, entry_header, body - entry_header);
     return true;
 }
 
@@ -137,24 +117,22 @@ Cache::storeEntry(char kind, std::uint64_t key,
 {
     if (!enabled())
         return;
+    std::string bytes(entry_magic, sizeof(entry_magic));
+    bytes += kind;
+    bytes += payload;
+    std::uint64_t sum = fnv1a(bytes.data(), bytes.size());
+    bytes.append(reinterpret_cast<const char *>(&sum), sizeof(sum));
+
     std::string path = entryPath(kind, key);
     std::string tmp =
         path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            warn("cannot write cache entry '%s'", tmp.c_str());
-            return;
-        }
-        out.write(entry_magic, sizeof(entry_magic));
-        std::string frame = obs::encodeFrame(entryFrameType(kind), payload);
-        out.write(frame.data(),
-                  static_cast<std::streamsize>(frame.size()));
-        if (!out.good()) {
-            warn("short write on cache entry '%s'", tmp.c_str());
-            ::unlink(tmp.c_str());
-            return;
-        }
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.close();
+    if (!out) {
+        warn("cannot write cache entry '%s'", tmp.c_str());
+        ::unlink(tmp.c_str());
+        return;
     }
     if (::rename(tmp.c_str(), path.c_str()) != 0) {
         warn("cannot publish cache entry '%s' (%s)", path.c_str(),
@@ -185,9 +163,9 @@ Cache::loadCkpt(std::uint64_t key) const
     std::string payload;
     if (!loadEntry('c', key, payload))
         return nullptr;
-    // Defense in depth: the frame checksum already validated the
-    // bytes, but the checkpoint deserializer is fatal-on-corrupt, so
-    // re-check its own integrity envelope before trusting the blob.
+    // Defense in depth: the entry checksum already validated the bytes,
+    // but the checkpoint deserializer is fatal-on-corrupt, so re-check
+    // its own integrity envelope before trusting the blob.
     if (!sample::Checkpoint::checksumOk(payload)) {
         std::string path = entryPath('c', key);
         warn("rejecting cache entry '%s': CNCKPT01 checksum failed; "

@@ -7,19 +7,20 @@
  *  - `r-<key>.cnf`: a cell's serialized RunResult under cellKey();
  *  - `c-<key>.cnf`: a warmed CNCKPT01 blob under ckptKey().
  *
- * Every entry is one CNFRM01 frame (obs/frame.hh) behind a "CNFARM01"
- * magic, so the frame checksum doubles as the on-disk integrity check:
- * a truncated, corrupted, or wrong-kind entry is *rejected* -- warned
+ * An entry is the 8-byte magic "CNFARM02", a kind byte ('r' or 'c'),
+ * the payload, and a u64 FNV-1a checksum of every byte before it. A
+ * truncated, corrupted, or wrong-kind entry is *rejected* -- warned
  * about, unlinked, and reported as a miss so the caller recomputes --
  * never trusted and never a fatal. Checkpoint blobs are additionally
  * gated on sample::Checkpoint::checksumOk before the fatal-on-corrupt
  * deserializer ever sees them.
  *
  * Writes go through a same-directory temp file and rename(2), so a
- * concurrent reader sees either the old entry or the complete new one,
- * and two writers racing on one key both leave a valid entry. Keys
- * embed the farm and checkpoint format versions plus the full spec and
- * trace hash, so a stale or foreign entry simply never collides.
+ * process reading the same directory sees either no entry or a complete
+ * one. Within one process, farm/sweep.hh uses the cache from one thread
+ * at a time. Keys embed the farm and checkpoint format versions plus
+ * the full spec and trace hash, so a stale or foreign entry simply
+ * never collides.
  */
 
 #ifndef CNSIM_FARM_CACHE_HH
@@ -49,15 +50,6 @@ class Cache
 
     [[nodiscard]] bool enabled() const { return !root.empty(); }
 
-    [[nodiscard]] const std::string &dir() const { return root; }
-
-    /**
-     * The user-level default directory: $CNSIM_CACHE_DIR, else
-     * $XDG_CACHE_HOME/cnsim, else $HOME/.cache/cnsim, else "" (no
-     * caching -- e.g. a HOME-less daemon environment).
-     */
-    static std::string defaultDir();
-
     /** Load the result under @p key into @p out. @return false on
      *  miss or on a rejected (corrupt) entry. */
     bool loadResult(std::uint64_t key, RunResult &out) const;
@@ -67,7 +59,7 @@ class Cache
     void storeResult(std::uint64_t key, const RunResult &result) const;
 
     /** Load the checkpoint blob under @p key; null on miss or on a
-     *  rejected entry (frame or CNCKPT01 checksum failure). */
+     *  rejected entry (entry or CNCKPT01 checksum failure). */
     [[nodiscard]] std::shared_ptr<const std::string>
     loadCkpt(std::uint64_t key) const;
 
@@ -79,8 +71,8 @@ class Cache
                                         std::uint64_t key) const;
 
   private:
-    /** Read + frame-validate the entry; empty payload on miss, and a
-     *  warn + unlink + miss on corruption. */
+    /** Read and validate the entry; false on miss, and a warn + unlink
+     *  + miss on corruption. */
     bool loadEntry(char kind, std::uint64_t key,
                    std::string &payload) const;
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/fnv.hh"
 #include "common/logging.hh"
 
 namespace cnsim
@@ -15,17 +16,6 @@ namespace
 {
 
 constexpr char magic[8] = {'C', 'N', 'C', 'K', 'P', 'T', '0', '1'};
-
-std::uint64_t
-fnv1a(const char *p, std::size_t n)
-{
-    std::uint64_t h = 14695981039346656037ULL;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= static_cast<unsigned char>(p[i]);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 } // namespace
 

@@ -130,7 +130,7 @@ class ParallelRunner
      * of how many jobs share it; canonical-live generation covers
      * every other cell below the sharing threshold. The policy behind
      * enableSharedTraceCache's mode choice, shared with the CLI and
-     * the farm worker.
+     * the sweep runner.
      */
     static bool needsMaterializedTrace(const RunConfig &run_cfg);
 

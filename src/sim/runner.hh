@@ -257,7 +257,7 @@ class Runner
      * The process-wide materialized canonical stream for this
      * (workload, run) pair, acquired from TraceCache under the
      * effectiveSynthParams key. Callers outside the trace layer (the
-     * farm worker upgrading a checkpoint-resumed cell to flat-chunk
+     * sweep runner upgrading a checkpoint-resumed cell to flat-chunk
      * replay) use this instead of touching TraceCache directly, so
      * the sharing key stays in one place.
      */

@@ -1,5 +1,6 @@
 #include "trace/trace_file.hh"
 
+#include <cstdio>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -10,7 +11,6 @@ namespace cnsim
 namespace
 {
 
-constexpr char magic[8] = {'C', 'N', 'S', 'T', 'R', 'C', '0', '1'};
 constexpr char trf_magic[8] = {'C', 'N', 'T', 'R', 'F', '0', '0', '1'};
 
 /** Sanity bound: more cores than this means a corrupt header. */
@@ -59,84 +59,6 @@ getU64(std::FILE *fp, std::uint64_t &v)
 }
 
 } // namespace
-
-TraceFileWriter::TraceFileWriter(const std::string &path) : path(path)
-{
-    fp = std::fopen(path.c_str(), "wb");
-    if (!fp)
-        fatal("cannot open trace file '%s' for writing", path.c_str());
-    std::fwrite(magic, 1, sizeof(magic), fp);
-    putU64(fp, 0);  // patched by close()
-}
-
-TraceFileWriter::~TraceFileWriter()
-{
-    close();
-}
-
-void
-TraceFileWriter::write(const TraceRecord &rec)
-{
-    cnsim_assert(fp != nullptr, "write after close on '%s'", path.c_str());
-    putU32(fp, rec.gap);
-    putU64(fp, rec.iaddr);
-    putU64(fp, rec.addr);
-    unsigned char op = rec.op == MemOp::Store  ? 1
-                       : rec.op == MemOp::Ifetch ? 2
-                                                 : 0;
-    std::fwrite(&op, 1, 1, fp);
-    ++n_records;
-}
-
-void
-TraceFileWriter::close()
-{
-    if (!fp)
-        return;
-    std::fseek(fp, sizeof(magic), SEEK_SET);
-    putU64(fp, n_records);
-    std::fclose(fp);
-    fp = nullptr;
-}
-
-FileTraceSource::FileTraceSource(const std::string &path)
-{
-    std::FILE *fp = std::fopen(path.c_str(), "rb");
-    if (!fp)
-        fatal("cannot open trace file '%s'", path.c_str());
-    char m[8];
-    if (std::fread(m, 1, 8, fp) != 8 || std::memcmp(m, magic, 8) != 0) {
-        std::fclose(fp);
-        fatal("'%s' is not a cnsim trace file", path.c_str());
-    }
-    std::uint64_t count = 0;
-    if (!getU64(fp, count)) {
-        std::fclose(fp);
-        fatal("truncated trace header in '%s'", path.c_str());
-    }
-    trace.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        TraceRecord r;
-        std::uint32_t gap;
-        std::uint64_t iaddr, addr;
-        unsigned char op;
-        if (!getU32(fp, gap) || !getU64(fp, iaddr) || !getU64(fp, addr) ||
-            std::fread(&op, 1, 1, fp) != 1) {
-            std::fclose(fp);
-            fatal("truncated trace record %llu in '%s'",
-                  static_cast<unsigned long long>(i), path.c_str());
-        }
-        r.gap = gap;
-        r.iaddr = iaddr;
-        r.addr = addr;
-        r.op = op == 1 ? MemOp::Store : op == 2 ? MemOp::Ifetch
-                                                : MemOp::Load;
-        trace.push_back(r);
-    }
-    std::fclose(fp);
-    if (trace.empty())
-        fatal("trace file '%s' has no records", path.c_str());
-}
 
 void
 writeTrf(const std::string &path, const PackedTrace &trace)
@@ -227,18 +149,6 @@ readTrf(const std::string &path)
     }
     std::fclose(fp);
     return t;
-}
-
-TraceRecord
-FileTraceSource::next()
-{
-    if (pos == trace.size()) {
-        pos = 0;
-        if (n_wraps++ == 0)
-            warnOnce("file-trace-wrap",
-                     "trace replay wrapped; consider a longer recording");
-    }
-    return trace[pos++];
 }
 
 } // namespace cnsim

@@ -1,93 +1,30 @@
 /**
  * @file
- * Trace recording and replay.
+ * CNTRF001: the packed multi-core trace file behind --trace-capture /
+ * --trace-replay (trace/replay.hh).
  *
- * Any TraceSource can be recorded to a compact binary file and
- * replayed later, making experiments repeatable across machines and
- * letting users drive the simulator with traces captured elsewhere
- * (convert to the format below and replay). Replaying a recorded
- * synthetic run reproduces it cycle-for-cycle.
- *
- * Two file formats live here (both little-endian):
- *
- *  - CNSTRC01: the legacy flat per-core record stream used by
- *    --record/--replay. 8-byte magic "CNSTRC01", u64 record count,
- *    then per record: u32 gap, u64 iaddr, u64 addr, u8 op. Simple and
- *    interoperable, but 21 B/record and one file per core.
- *
- *  - CNTRF001: the packed multi-core trace behind --trace-capture /
- *    --trace-replay (trace/replay.hh). One file holds every core's
- *    stream, each delta+varint encoded to ~8 B/record. Layout:
- *      8-byte magic "CNTRF001"
- *      u32 num_cores, u32 reserved (0)
- *      u64 params_hash   (provenance: FNV-1a of the workload params)
- *      u64 seed          (provenance: effective workload seed)
- *      per core: u64 n_records, u64 n_bytes
- *      per core: n_bytes of packed stream (see replay.hh for the
- *                record encoding)
- *    This header only transports the packed bytes; encoding/decoding
- *    them is RecordedTrace's job.
+ * One file holds every core's stream, each delta+varint encoded to
+ * ~8 B/record. Layout (little-endian):
+ *   8-byte magic "CNTRF001"
+ *   u32 num_cores, u32 reserved (0)
+ *   u64 params_hash   (provenance: FNV-1a of the workload params)
+ *   u64 seed          (provenance: effective workload seed)
+ *   per core: u64 n_records, u64 n_bytes
+ *   per core: n_bytes of packed stream (see replay.hh for the record
+ *             encoding)
+ * This header only transports the packed bytes; encoding/decoding them
+ * is RecordedTrace's job.
  */
 
 #ifndef CNSIM_TRACE_TRACE_FILE_HH
 #define CNSIM_TRACE_TRACE_FILE_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "trace/trace.hh"
-
 namespace cnsim
 {
-
-/** Writes trace records to a binary file. */
-class TraceFileWriter
-{
-  public:
-    /** Open @p path for writing; fatal on failure. */
-    explicit TraceFileWriter(const std::string &path);
-    ~TraceFileWriter();
-
-    TraceFileWriter(const TraceFileWriter &) = delete;
-    TraceFileWriter &operator=(const TraceFileWriter &) = delete;
-
-    /** Append one record. */
-    void write(const TraceRecord &rec);
-
-    /** Flush and finalize the header. Called by the destructor. */
-    void close();
-
-    std::uint64_t recordsWritten() const { return n_records; }
-
-  private:
-    std::string path;
-    std::FILE *fp = nullptr;
-    std::uint64_t n_records = 0;
-};
-
-/**
- * Replays a recorded trace file. TraceSources never run dry, so the
- * replay loops back to the first record at end of file (a warning is
- * issued once); size the recording to the run you intend to drive.
- */
-class FileTraceSource : public TraceSource
-{
-  public:
-    /** Load @p path into memory; fatal on parse failure. */
-    explicit FileTraceSource(const std::string &path);
-
-    TraceRecord next() override;
-
-    std::uint64_t records() const { return trace.size(); }
-    std::uint64_t wraps() const { return n_wraps; }
-
-  private:
-    std::vector<TraceRecord> trace;
-    std::size_t pos = 0;
-    std::uint64_t n_wraps = 0;
-};
 
 /** One core's packed stream inside a CNTRF001 trace. */
 struct PackedCoreTrace
@@ -117,28 +54,6 @@ void writeTrf(const std::string &path, const PackedTrace &trace);
  * job, since the codec lives there.)
  */
 PackedTrace readTrf(const std::string &path);
-
-/** Tees another source's records into a TraceFileWriter. */
-class RecordingSource : public TraceSource
-{
-  public:
-    RecordingSource(TraceSource &inner, TraceFileWriter &writer)
-        : inner(inner), writer(writer)
-    {
-    }
-
-    TraceRecord
-    next() override
-    {
-        TraceRecord r = inner.next();
-        writer.write(r);
-        return r;
-    }
-
-  private:
-    TraceSource &inner;
-    TraceFileWriter &writer;
-};
 
 } // namespace cnsim
 

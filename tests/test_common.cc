@@ -8,6 +8,7 @@
 #include <cmath>
 #include <set>
 
+#include "common/fnv.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -62,6 +63,26 @@ TEST(Logging, QuietSuppresses)
     inform("should be suppressed");
     setQuiet(false);
     EXPECT_FALSE(quiet());
+}
+
+TEST(Logging, ParseUnsignedFlagReadsWholeNumbers)
+{
+    EXPECT_EQ(parseUnsignedFlag("--n", "42"), 42u);
+    EXPECT_EQ(parseUnsignedFlag("--n", "18446744073709551615"),
+              UINT64_MAX);
+    EXPECT_EQ(parseUnsignedFlag("--cores", "64", 1, 64), 64u);
+    EXPECT_EQ(parseUnsignedFlag("--addr", "0x1f40", 0, UINT64_MAX, 0),
+              0x1f40u);
+}
+
+TEST(Fnv1a, MatchesTheStandard64BitVectors)
+{
+    // The published FNV-1a 64 test vectors. The hash keys the trace and
+    // result caches and checksums every checkpoint, so drift here would
+    // silently orphan or misread persisted files.
+    EXPECT_EQ(fnv1a("", 0), 0xcbf29ce484222325ULL);
+    EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(fnv1a("foobar", 6), 0x85944171f73967e8ULL);
 }
 
 TEST(Rng, Deterministic)

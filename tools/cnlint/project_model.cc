@@ -393,10 +393,10 @@ layerDag()
         {"sim",
          {"common", "cache", "core", "l2", "mem", "nurapid", "cactilite",
           "trace", "sample", "obs"}},
-        // The experiment farm sits above sim: it composes whole runs
-        // into sweeps, so it may use the composition layer itself (and
+        // The sweep layer sits above sim: it composes whole runs into
+        // sweeps, so it may use the composition layer itself (and
         // reaches trace/workload vocabulary through sim's headers).
-        {"farm", {"common", "sim", "sample", "obs"}},
+        {"farm", {"common", "sim", "sample"}},
     };
     return dag;
 }

@@ -999,36 +999,6 @@ ruleC003MutableStatic(const SourceFile &f, const ProjectModel &pm,
     }
 }
 
-void
-ruleC004ProcessControl(const SourceFile &f, std::vector<Finding> &out)
-{
-    // Process control lives in one place, the way CNL-C002 keeps raw
-    // threads in one place: src/farm/ owns fork/exec/waitpid so worker
-    // lifecycle, stderr capture, and requeue policy cannot scatter.
-    if (f.path.find("farm/") != std::string::npos)
-        return;
-    static const char *const banned[] = {
-        "fork", "vfork", "execl", "execlp", "execle", "execv",
-        "execvp", "execve", "posix_spawn", "posix_spawnp", "waitpid",
-        "wait4",
-    };
-    const Tokens &ts = f.tokens;
-    for (std::size_t i = 0; i + 1 < ts.size(); ++i) {
-        if (ts[i].kind != TokKind::Ident || !isPunct(ts[i + 1], "("))
-            continue;
-        for (const char *b : banned) {
-            if (ts[i].text != b)
-                continue;
-            emit(f, out, ts[i], "CNL-C004",
-                 "process-control call '" + ts[i].text +
-                     "' outside src/farm/; spawn and reap workers "
-                     "through the farm coordinator so crash handling "
-                     "and requeue policy stay in one place");
-            break;
-        }
-    }
-}
-
 // --------------------------------------------------------------------
 // T-rules: lifetime and liveness
 // --------------------------------------------------------------------
@@ -1129,9 +1099,6 @@ ruleCatalog()
         {"CNL-C002",
          "raw std::thread outside ParallelRunner/BinlogWriter", true},
         {"CNL-C003", "unannotated mutable static", true},
-        {"CNL-C004",
-         "process-control call (fork/exec/waitpid) outside src/farm/",
-         true},
         {"CNL-D001",
          "banned random source; use a seeded cnsim::Rng", true},
         {"CNL-D002",
@@ -1234,7 +1201,6 @@ Linter::run()
             ruleS002UnregisteredStat(f, impl->ctx, results);
             ruleC002RawThread(f, results);
             ruleC003MutableStatic(f, impl->pm, results);
-            ruleC004ProcessControl(f, results);
             ruleT001DanglingCapture(f, results);
         }
         ruleS001EnumSwitch(f, impl->ctx, results);

@@ -10,40 +10,33 @@
  *   cnsim --l2 all --workload mix3 --measure 20000000
  *   cnsim --l2 private --workload apache --stats
  *   cnsim --l2 all --workload all --jobs 8
+ *   cnsim --l2 all --workload oltp --cache-dir ~/.cache/cnsim
  *   cnsim --list
  *
- * Grid sweeps (--l2 all / --workload all) fan the independent runs out
- * over --jobs worker threads (default: hardware concurrency). Results
- * are printed in grid order and are byte-identical for every --jobs
- * value; per-job progress and elapsed time go to stderr.
- *
- * --farm-jobs moves the fan-out from threads to worker *processes*
- * with a content-addressed result/checkpoint cache (src/farm/); the
- * printed table stays byte-identical to the in-process path. The same
- * binary is also the farm worker (`cnsim --worker`, spawned by the
- * coordinator) and the result server (`cnsim serve --socket <path>`).
+ * Every invocation is a grid of (L2 kind x workload) cells, each one a
+ * farm::CellSpec, run by farm::runSweep over --jobs worker threads
+ * (default: hardware concurrency). Results are printed in grid order
+ * and are byte-identical for every --jobs value; per-cell progress and
+ * elapsed time go to stderr. --cache-dir puts the content-addressed
+ * result and checkpoint cache in front of the grid: a repeated sweep is
+ * read back from disk and a re-budgeted one resumes from cached warm
+ * state, printing the same bytes.
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include <memory>
-
 #include "common/logging.hh"
-#include "core/core.hh"
-#include "farm/cache.hh"
-#include "farm/coordinator.hh"
-#include "farm/serve.hh"
-#include "farm/worker.hh"
-#include "sim/event_queue.hh"
+#include "farm/sweep.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/runner.hh"
 #include "trace/replay.hh"
-#include "trace/trace_file.hh"
 
 using namespace cnsim;
 
@@ -74,21 +67,16 @@ usage(const char *argv0)
         "use a\n"
         "                     directory protocol over the NoC)\n"
         "  --warmup <N>       warm-up instructions per core\n"
-        "  --measure <N>      measured instructions per core\n"
+        "  --measure <N>      measured instructions per core (> 0)\n"
         "  --seed <N>         workload seed (default 1)\n"
         "  --jobs <N>         worker threads for grid sweeps (default: "
         "hardware\n"
         "                     concurrency; results identical for any N)\n"
-        "  --farm-jobs <N>    run the sweep on N worker *processes* "
-        "with a\n"
-        "                     content-addressed result/checkpoint cache "
-        "(0 =\n"
-        "                     hardware concurrency; results identical "
-        "to --jobs)\n"
-        "  --cache-dir <dir>  farm cache directory (default "
-        "$CNSIM_CACHE_DIR,\n"
-        "                     else ~/.cache/cnsim; '' disables "
-        "caching)\n"
+        "  --cache-dir <dir>  look up and store results and warmed "
+        "checkpoints in\n"
+        "                     this content-addressed cache (default: "
+        "none; results\n"
+        "                     identical with or without it)\n"
         "  --sample-windows <K>  interval sampling: K detailed windows "
         "separated by\n"
         "                     decode-only fast-forward, functional "
@@ -114,7 +102,7 @@ usage(const char *argv0)
         "  --no-cr            disable controlled replication (nurapid)\n"
         "  --no-isc           disable in-situ communication (nurapid)\n"
         "  --promotion <p>    fastest|next-fastest|none (nurapid)\n"
-        "  --tag-factor <N>   nurapid tag-capacity multiple (1/2/4)\n"
+        "  --tag-factor <N>   nurapid tag-capacity multiple (1, 2 or 4)\n"
         "  --stats            dump the full statistics block per run\n"
         "  --stats-csv <file> write per-run statistics as CSV "
         "(l2,workload,name,value)\n"
@@ -160,23 +148,7 @@ usage(const char *argv0)
         "CNTRF001 trace\n"
         "                     (single workload name for labeling only)"
         "\n"
-        "  --record <prefix>  record per-core traces to "
-        "<prefix>.core<N>.trc (legacy\n"
-        "                     CNSTRC01, timing-interleaved, serial)\n"
-        "  --replay <prefix>  drive the cores from recorded legacy "
-        "traces\n"
-        "  --list             list workloads and organizations\n"
-        "subcommands:\n"
-        "  serve --socket <path> [--cache-dir <dir>]\n"
-        "                     run the result server: framed cell "
-        "requests over a\n"
-        "                     Unix socket, cached results, in-flight "
-        "dedup\n"
-        "  --worker [--cache-dir <dir>]\n"
-        "                     farm worker loop on stdin/stdout "
-        "(spawned by the\n"
-        "                     --farm-jobs coordinator; not for "
-        "interactive use)\n",
+        "  --list             list workloads and organizations\n",
         argv0);
 }
 
@@ -233,104 +205,16 @@ parseInterconnect(const std::string &s)
           s.c_str());
 }
 
-/**
- * Drive one run with trace recording or replay. Bypasses the Runner so
- * the cores can be fed RecordingSource/FileTraceSource wrappers; the
- * printed metrics follow the same warm-up/measure discipline.
- */
-RunResult
-runWithTraceIO(const SystemConfig &cfg, const WorkloadSpec &wl,
-               const RunConfig &rc, const std::string &record_prefix,
-               const std::string &replay_prefix)
+PromotionPolicy
+parsePromotion(const std::string &s)
 {
-    SystemConfig sc = cfg;
-    if (!rc.trace_out.empty())
-        sc.obs.trace = true;
-    if (!rc.binlog_out.empty())
-        sc.obs.binlog_out = rc.binlog_out;
-    System system(sc);
-    std::unique_ptr<SynthWorkload> synth;
-    if (replay_prefix.empty())
-        synth = std::make_unique<SynthWorkload>(wl.synth);
-
-    std::vector<std::unique_ptr<TraceFileWriter>> writers;
-    std::vector<std::unique_ptr<TraceSource>> sources;
-    for (int c = 0; c < cfg.num_cores; ++c) {
-        std::string path =
-            (record_prefix.empty() ? replay_prefix : record_prefix) +
-            ".core" + std::to_string(c) + ".trc";
-        if (!replay_prefix.empty()) {
-            sources.push_back(std::make_unique<FileTraceSource>(path));
-        } else if (!record_prefix.empty()) {
-            writers.push_back(std::make_unique<TraceFileWriter>(path));
-            sources.push_back(std::make_unique<RecordingSource>(
-                synth->source(c), *writers.back()));
-        }
-    }
-
-    EventQueue eq;
-    std::vector<std::unique_ptr<Core>> cores;
-    for (int c = 0; c < cfg.num_cores; ++c) {
-        cores.push_back(std::make_unique<Core>(
-            c, system, *sources[c], cfg.core_non_mem_cpi));
-        cores.back()->attachSink(system.traceSink());
-        cores.back()->start(eq);
-    }
-    auto max_instr = [&]() {
-        std::uint64_t m = 0;
-        for (auto &core : cores)
-            m = std::max(m, core->epochInstructions());
-        return m;
-    };
-    while (max_instr() < rc.warmup_instructions) {
-        eq.run(eq.now() + rc.quantum);
-        system.obsTick(eq.now());
-    }
-    system.resetStats();
-    Tick epoch = eq.now();
-    for (auto &core : cores)
-        core->markEpoch(epoch);
-    while (max_instr() < rc.measure_instructions) {
-        eq.run(eq.now() + rc.quantum);
-        system.obsTick(eq.now());
-    }
-    system.checkInvariants();
-
-    RunResult r;
-    r.workload = wl.name;
-    r.l2_kind = system.l2().kind();
-    r.cycles = eq.now() - epoch;
-    for (auto &core : cores)
-        r.instructions += core->epochInstructions();
-    r.ipc = r.cycles ? static_cast<double>(r.instructions) / r.cycles
-                     : 0.0;
-    r.frac_hit = system.l2().clsFraction(AccessClass::Hit);
-    r.frac_ros = system.l2().clsFraction(AccessClass::ROSMiss);
-    r.frac_rws = system.l2().clsFraction(AccessClass::RWSMiss);
-    r.frac_cap = system.l2().clsFraction(AccessClass::CapacityMiss);
-
-    if (rc.collect_stats_dump || rc.collect_stats_csv) {
-        StatGroup g("system");
-        system.regStats(g);
-        for (auto &core : cores)
-            core->regStats(g);
-        if (rc.collect_stats_dump)
-            r.stats_dump = g.dump();
-        if (rc.collect_stats_csv)
-            r.stats_csv = g.dumpCsv();
-    }
-    system.finishObs(eq.now());
-    if (system.metrics())
-        r.metrics_csv = system.metrics()->csv();
-    if (obs::TraceSink *sink = system.traceSink()) {
-        r.trace_events = sink->recordedEvents();
-        r.trace_dropped = sink->dropped();
-        if (!rc.trace_out.empty())
-            sink->exportTo(rc.trace_out, rc.trace_format);
-    }
-    if (system.auditor())
-        r.audited_transitions = system.auditor()->transitions();
-    return r;
+    if (s == "fastest")
+        return PromotionPolicy::Fastest;
+    if (s == "next-fastest")
+        return PromotionPolicy::NextFastest;
+    if (s == "none")
+        return PromotionPolicy::None;
+    fatal("unknown promotion policy '%s'", s.c_str());
 }
 
 std::vector<std::string>
@@ -355,66 +239,23 @@ parseWorkloads(const std::string &s)
 int
 main(int argc, char **argv)
 {
-    // Subcommand dispatch before regular flag parsing: the worker and
-    // serve modes are protocol loops, not sweep drivers.
-    if (argc > 1 && std::strcmp(argv[1], "--worker") == 0) {
-        std::string cache_dir;
-        for (int i = 2; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--cache-dir") == 0 && i + 1 < argc)
-                cache_dir = argv[++i];
-            else
-                fatal("--worker accepts only --cache-dir <dir>, "
-                      "got '%s'", argv[i]);
-        }
-        return farm::workerMain(cache_dir);
-    }
-    if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
-        std::string socket_path;
-        std::string serve_cache = farm::Cache::defaultDir();
-        for (int i = 2; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc)
-                socket_path = argv[++i];
-            else if (std::strcmp(argv[i], "--cache-dir") == 0 &&
-                     i + 1 < argc)
-                serve_cache = argv[++i];
-            else
-                fatal("serve accepts --socket <path> and --cache-dir "
-                      "<dir>, got '%s'", argv[i]);
-        }
-        if (socket_path.empty())
-            fatal("serve needs --socket <path>");
-        return farm::serveMain(socket_path, serve_cache);
-    }
-
     std::string l2_arg = "nurapid";
     std::string wl_arg = "oltp";
-    int cores = 4;
-    InterconnectKind icn = InterconnectKind::Bus;
-    RunConfig rc;
-    rc.warmup_instructions = 6'000'000;
-    rc.measure_instructions = 10'000'000;
+    // Every option that shapes a cell lands in this template; the grid
+    // loop below fills in each cell's organization, workload and files.
+    farm::CellSpec base;
+    base.warmup = 6'000'000;
+    base.measure = 10'000'000;
     unsigned jobs = ParallelRunner::defaultWorkers();
-    int farm_jobs = -1;  // -1 off, 0 hardware concurrency, N workers
-    std::string cache_dir = farm::Cache::defaultDir();
-    bool want_stats = false;
-    bool no_cr = false;
-    bool no_isc = false;
-    std::string promotion = "fastest";
-    unsigned tag_factor = 2;
-    std::string record_prefix;
-    std::string replay_prefix;
+    std::string cache_dir;
     std::string ckpt_save_path;
     std::string ckpt_load_path;
     std::string trace_capture_path;
-    std::string trace_replay_path;
     int replay_cache = -1;  // -1 auto, 0 off, 1 on
     std::string stats_csv_path;
     std::string trace_out;
     std::string binlog_out;
     std::string metrics_out;
-    obs::TraceFormat trace_format = obs::TraceFormat::ChromeJson;
-    std::uint64_t metrics_interval = 0;
-    bool audit = false;
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -423,41 +264,32 @@ main(int argc, char **argv)
                 fatal("missing value for %s", a.c_str());
             return argv[++i];
         };
+        auto number = [&](std::uint64_t lo = 0,
+                          std::uint64_t hi = UINT64_MAX) {
+            return parseUnsignedFlag(a, next(), lo, hi);
+        };
         if (a == "--l2") {
             l2_arg = next();
         } else if (a == "--workload") {
             wl_arg = next();
         } else if (a == "--cores") {
-            const char *v = next();
-            char *end = nullptr;
-            cores = static_cast<int>(std::strtol(v, &end, 10));
-            if (end == v || *end != '\0' || cores < 1 || cores > 64)
-                fatal("--cores needs an integer in 1..64, got '%s'", v);
+            base.cores = static_cast<std::uint32_t>(number(1, 64));
         } else if (a == "--interconnect") {
-            icn = parseInterconnect(next());
+            base.interconnect =
+                static_cast<std::uint32_t>(parseInterconnect(next()));
         } else if (a == "--warmup") {
-            rc.warmup_instructions = std::strtoull(next(), nullptr, 10);
+            base.warmup = number();
         } else if (a == "--measure") {
-            rc.measure_instructions = std::strtoull(next(), nullptr, 10);
+            base.measure = number(1);
         } else if (a == "--seed") {
-            rc.seed = std::strtoull(next(), nullptr, 10);
+            base.seed = number();
         } else if (a == "--jobs") {
-            const char *v = next();
-            char *end = nullptr;
-            jobs = static_cast<unsigned>(std::strtoul(v, &end, 10));
-            if (end == v || *end != '\0' || jobs == 0)
-                fatal("--jobs needs a positive integer, got '%s'", v);
-        } else if (a == "--farm-jobs") {
-            const char *v = next();
-            char *end = nullptr;
-            farm_jobs = static_cast<int>(std::strtol(v, &end, 10));
-            if (end == v || *end != '\0' || farm_jobs < 0)
-                fatal("--farm-jobs needs a non-negative integer "
-                      "(0 = hardware concurrency), got '%s'", v);
+            jobs = static_cast<unsigned>(
+                number(1, std::numeric_limits<unsigned>::max()));
         } else if (a == "--cache-dir") {
             cache_dir = next();
         } else if (a == "--stats") {
-            want_stats = true;
+            base.collect_stats_dump = 1;
         } else if (a == "--stats-csv") {
             stats_csv_path = next();
         } else if (a == "--trace-out") {
@@ -467,51 +299,48 @@ main(int argc, char **argv)
         } else if (a == "--trace-format") {
             std::string f = next();
             if (f == "json")
-                trace_format = obs::TraceFormat::ChromeJson;
+                base.trace_format =
+                    static_cast<std::uint8_t>(obs::TraceFormat::ChromeJson);
             else if (f == "bin")
-                trace_format = obs::TraceFormat::Binary;
+                base.trace_format =
+                    static_cast<std::uint8_t>(obs::TraceFormat::Binary);
             else
                 fatal("--trace-format must be json or bin, got '%s'",
                       f.c_str());
         } else if (a == "--metrics-interval") {
-            metrics_interval = std::strtoull(next(), nullptr, 10);
+            base.metrics_interval = number();
         } else if (a == "--metrics-out") {
             metrics_out = next();
         } else if (a == "--audit") {
-            audit = true;
+            base.audit = 1;
         } else if (a == "--no-cr") {
-            no_cr = true;
+            base.enable_cr = 0;
         } else if (a == "--no-isc") {
-            no_isc = true;
+            base.enable_isc = 0;
         } else if (a == "--promotion") {
-            promotion = next();
+            base.promotion =
+                static_cast<std::uint32_t>(parsePromotion(next()));
         } else if (a == "--tag-factor") {
-            tag_factor =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+            std::uint64_t tf = number();
+            if (tf != 1 && tf != 2 && tf != 4)
+                fatal("--tag-factor must be 1, 2 or 4, got '%s'",
+                      argv[i]);
+            base.tag_factor = static_cast<std::uint32_t>(tf);
         } else if (a == "--sample-windows") {
-            const char *v = next();
-            char *end = nullptr;
-            rc.sample_windows =
-                static_cast<unsigned>(std::strtoul(v, &end, 10));
-            if (end == v || *end != '\0' || rc.sample_windows == 0)
-                fatal("--sample-windows needs a positive integer, "
-                      "got '%s'", v);
+            base.sample_windows = static_cast<std::uint32_t>(
+                number(1, std::numeric_limits<std::uint32_t>::max()));
         } else if (a == "--sample-detail") {
-            rc.sample_detail = std::strtoull(next(), nullptr, 10);
+            base.sample_detail = number();
         } else if (a == "--sample-warmup") {
-            rc.sample_warmup = std::strtoull(next(), nullptr, 10);
+            base.sample_warmup = number();
         } else if (a == "--ckpt-save") {
             ckpt_save_path = next();
         } else if (a == "--ckpt-load") {
             ckpt_load_path = next();
-        } else if (a == "--record") {
-            record_prefix = next();
-        } else if (a == "--replay") {
-            replay_prefix = next();
         } else if (a == "--trace-capture") {
             trace_capture_path = next();
         } else if (a == "--trace-replay") {
-            trace_replay_path = next();
+            base.trace_file = next();
         } else if (a == "--replay-cache") {
             replay_cache = 1;
         } else if (a == "--no-replay-cache") {
@@ -537,48 +366,25 @@ main(int argc, char **argv)
         }
     }
 
-    rc.collect_stats_dump = want_stats;
-    rc.collect_stats_csv = !stats_csv_path.empty();
-    rc.trace_format = trace_format;
+    base.collect_stats_csv = stats_csv_path.empty() ? 0 : 1;
     // A metrics file without an explicit interval gets a usable default.
-    if (!metrics_out.empty() && metrics_interval == 0)
-        metrics_interval = 100'000;
+    if (!metrics_out.empty() && base.metrics_interval == 0)
+        base.metrics_interval = 100'000;
 
-    const bool trace_io = !record_prefix.empty() || !replay_prefix.empty();
-    if (trace_io &&
-        (!trace_capture_path.empty() || !trace_replay_path.empty() ||
-         replay_cache == 1)) {
-        fatal("--record/--replay (legacy per-core traces) cannot be "
-              "combined with --trace-capture/--trace-replay/"
-              "--replay-cache");
-    }
     const bool ckpt =
         !ckpt_save_path.empty() || !ckpt_load_path.empty();
-    if (ckpt && trace_io)
-        fatal("--ckpt-save/--ckpt-load cannot be combined with the "
-              "legacy --record/--replay path");
     if (ckpt && replay_cache == 0)
         fatal("checkpoints store a positional stream cursor and need "
               "the replay cache; drop --no-replay-cache");
     if (!ckpt_save_path.empty() && !ckpt_load_path.empty())
         fatal("--ckpt-save and --ckpt-load are mutually exclusive");
-    if (!trace_capture_path.empty() && !trace_replay_path.empty())
+    if (!trace_capture_path.empty() && !base.trace_file.empty())
         fatal("--trace-capture and --trace-replay are mutually "
               "exclusive");
-
-    const bool farm_mode = farm_jobs >= 0;
-    if (farm_mode) {
-        if (trace_io)
-            fatal("--farm-jobs cannot drive the legacy "
-                  "--record/--replay path");
-        if (!trace_capture_path.empty() || !trace_replay_path.empty())
-            fatal("--farm-jobs cannot capture or replay CNTRF001 "
-                  "traces; cells rebuild their canonical streams from "
-                  "parameters");
-        if (ckpt)
-            fatal("--farm-jobs manages warmed state through its "
-                  "checkpoint cache; drop --ckpt-save/--ckpt-load");
-    }
+    if (!trace_capture_path.empty() && !cache_dir.empty())
+        fatal("--trace-capture saves the streams the cells consume, and "
+              "a cell read back from the cache consumes none; drop "
+              "--cache-dir");
 
     // Build the (L2 kind x workload) grid in print order.
     const std::vector<L2Kind> kind_list = parseKinds(l2_arg);
@@ -587,7 +393,7 @@ main(int argc, char **argv)
 
     // A captured trace replays one workload's stream; a grid over
     // several workloads has no single stream to replay.
-    if (!trace_replay_path.empty() && wl_list.size() > 1)
+    if (!base.trace_file.empty() && wl_list.size() > 1)
         fatal("--trace-replay drives a single workload (got %zu)",
               wl_list.size());
 
@@ -602,159 +408,77 @@ main(int argc, char **argv)
     // positional cursor: sampling hops, checkpoints, capture, or an
     // explicit --replay-cache. --no-replay-cache restores plain live
     // per-cell generation (timing-interleaved stream order).
-    const bool auto_shared = replay_cache == -1 && multi && !trace_io &&
-                             !ckpt && trace_capture_path.empty();
+    const bool auto_shared = replay_cache == -1 && multi && !ckpt &&
+                             trace_capture_path.empty();
     const bool use_replay_cache =
         replay_cache == 1 || ckpt ||
         (!trace_capture_path.empty() && replay_cache != 0) ||
         (auto_shared &&
-         (rc.sample_windows > 0 ||
+         (base.sample_windows > 0 ||
           kind_list.size() >= ParallelRunner::min_stream_sharers));
-    const bool use_canonical = auto_shared && rc.sample_windows == 0 &&
-                               trace_replay_path.empty() &&
+    const bool use_canonical = auto_shared && base.sample_windows == 0 &&
+                               base.trace_file.empty() &&
                                !use_replay_cache;
     if (!trace_capture_path.empty() && !use_replay_cache)
         fatal("--trace-capture needs the replay cache; drop "
               "--no-replay-cache");
+    base.trace_mode = static_cast<std::uint8_t>(
+        use_replay_cache ? farm::CellTraceMode::Materialized
+        : use_canonical  ? farm::CellTraceMode::Canonical
+                         : farm::CellTraceMode::Live);
 
-    // Per-workload shared traces for this grid (capture needs the
-    // handles afterwards to save the streams).
+    // A replayed trace file is decoded once: every cell's buildJob
+    // acquires this same instance while the handle lives.
     std::shared_ptr<RecordedTrace> frozen;
-    if (!trace_replay_path.empty()) {
-        frozen = RecordedTrace::fromFile(trace_replay_path);
+    if (!base.trace_file.empty()) {
+        frozen = TraceCache::global().acquireFile(base.trace_file);
         inform("replaying '%s': %d cores, %llu records/core published",
-               trace_replay_path.c_str(), frozen->cores(),
+               base.trace_file.c_str(), frozen->cores(),
                static_cast<unsigned long long>(
                    frozen->recordsPublished(0)));
+        if (frozen->cores() != static_cast<int>(base.cores))
+            fatal("trace '%s' has %d cores but the system has %u",
+                  base.trace_file.c_str(), frozen->cores(), base.cores);
     }
-    std::vector<std::pair<std::string, std::shared_ptr<RecordedTrace>>>
-        cached_traces;
-    auto trace_for = [&](const std::string &w)
-        -> std::shared_ptr<RecordedTrace> {
-        if (frozen)
-            return frozen;
-        if (!use_replay_cache)
-            return nullptr;
-        for (const auto &ct : cached_traces)
-            if (ct.first == w)
-                return ct.second;
-        cached_traces.emplace_back(
-            w, TraceCache::global().acquire(Runner::effectiveSynthParams(
-                   workloads::byName(w, cores), rc)));
-        return cached_traces.back().second;
-    };
 
-    ParallelRunner pool(jobs);
-    std::vector<farm::CellSpec> farm_cells;
-    std::vector<RunResult> results;
+    std::vector<farm::CellSpec> cells;
     for (L2Kind kind : kind_list) {
-        SystemConfig cfg = Runner::paperConfig(kind, cores, icn);
-        cfg.nurapid.enable_cr = !no_cr;
-        cfg.nurapid.enable_isc = !no_isc;
-        cfg.nurapid.tag_factor = tag_factor;
-        if (promotion == "next-fastest")
-            cfg.nurapid.promotion = PromotionPolicy::NextFastest;
-        else if (promotion == "none")
-            cfg.nurapid.promotion = PromotionPolicy::None;
-        else if (promotion != "fastest")
-            fatal("unknown promotion policy '%s'", promotion.c_str());
-        cfg.obs.audit = audit;
-        cfg.obs.metrics_interval = metrics_interval;
-
-        for (const auto &w : wl_list) {
-            RunConfig run = rc;
-            // Farm cells rebuild their streams worker-side from the
-            // spec; materializing here would be pure waste.
-            run.replay = farm_mode ? nullptr : trace_for(w);
-            if (run.replay && run.replay->cores() != cfg.num_cores) {
-                fatal("trace '%s' has %d cores but the system has %d",
-                      trace_replay_path.c_str(), run.replay->cores(),
-                      cfg.num_cores);
-            }
-            run.canonical_live = use_canonical && !run.replay;
-            // Grid sweeps write one trace per run, tagged by cell.
-            if (!trace_out.empty())
-                run.trace_out =
-                    multi ? tagPath(trace_out, std::string(toString(kind)) +
-                                                   "-" + w)
-                          : trace_out;
-            if (!binlog_out.empty())
-                run.binlog_out =
-                    multi ? tagPath(binlog_out,
-                                    std::string(toString(kind)) + "-" + w)
-                          : binlog_out;
-            // Checkpoints are config-strict, so grid sweeps keep one
-            // file per cell.
-            if (!ckpt_save_path.empty())
-                run.ckpt_save =
-                    multi ? tagPath(ckpt_save_path,
-                                    std::string(toString(kind)) + "-" + w)
-                          : ckpt_save_path;
-            if (!ckpt_load_path.empty())
-                run.ckpt_load =
-                    multi ? tagPath(ckpt_load_path,
-                                    std::string(toString(kind)) + "-" + w)
-                          : ckpt_load_path;
-            if (trace_io) {
-                // Trace record/replay shares files between runs, so it
-                // stays serial and bypasses the pool.
-                results.push_back(runWithTraceIO(
-                    cfg, workloads::byName(w, cores), run, record_prefix,
-                    replay_prefix));
-            } else if (farm_mode) {
-                farm::CellSpec spec;
-                spec.l2_kind = static_cast<std::uint32_t>(kind);
-                spec.cores = static_cast<std::uint32_t>(cores);
-                spec.interconnect = static_cast<std::uint32_t>(icn);
-                spec.enable_cr = cfg.nurapid.enable_cr ? 1 : 0;
-                spec.enable_isc = cfg.nurapid.enable_isc ? 1 : 0;
-                spec.promotion =
-                    static_cast<std::uint32_t>(cfg.nurapid.promotion);
-                spec.tag_factor = tag_factor;
-                spec.audit = audit ? 1 : 0;
-                spec.metrics_interval = metrics_interval;
-                spec.trace_out = run.trace_out;
-                spec.trace_format =
-                    static_cast<std::uint8_t>(trace_format);
-                spec.binlog_out = run.binlog_out;
-                spec.workload = w;
-                spec.warmup = rc.warmup_instructions;
-                spec.measure = rc.measure_instructions;
-                spec.quantum = rc.quantum;
-                spec.seed = rc.seed;
-                spec.sample_windows = rc.sample_windows;
-                spec.sample_detail = rc.sample_detail;
-                spec.sample_warmup = rc.sample_warmup;
-                spec.collect_stats_dump = rc.collect_stats_dump ? 1 : 0;
-                spec.collect_stats_csv = rc.collect_stats_csv ? 1 : 0;
-                // Mirror the in-process stream decision so farm and
-                // in-process sweeps stay byte-identical.
-                spec.trace_mode = static_cast<std::uint8_t>(
-                    use_replay_cache ? farm::CellTraceMode::Materialized
-                    : use_canonical  ? farm::CellTraceMode::Canonical
-                                     : farm::CellTraceMode::Live);
-                farm_cells.push_back(spec);
-            } else {
-                pool.submit(cfg, workloads::byName(w, cores), run);
-            }
+        for (const std::string &w : wl_list) {
+            // Grid sweeps write one file per cell, tagged by cell;
+            // checkpoints are config-strict, so they are per cell too.
+            auto per_cell = [&](const std::string &path) {
+                if (!multi || path.empty())
+                    return path;
+                return tagPath(path,
+                               std::string(toString(kind)) + "-" + w);
+            };
+            farm::CellSpec spec = base;
+            spec.l2_kind = static_cast<std::uint32_t>(kind);
+            spec.workload = w;
+            spec.trace_out = per_cell(trace_out);
+            spec.binlog_out = per_cell(binlog_out);
+            spec.ckpt_save = per_cell(ckpt_save_path);
+            spec.ckpt_load = per_cell(ckpt_load_path);
+            cells.push_back(std::move(spec));
         }
     }
 
-    if (farm_mode) {
-        farm::FarmOptions fo;
-        fo.workers = static_cast<unsigned>(farm_jobs);
-        fo.cache_dir = cache_dir;
-        results = farm::runFarm(farm_cells, fo);
-    } else if (!trace_io) {
-        pool.onProgress([](const JobReport &rep) {
-            inform("[%zu/%zu] %s/%s: %.1fs", rep.completed, rep.total,
-                   rep.result->l2_kind.c_str(),
-                   rep.result->workload.c_str(), rep.seconds);
-        });
-        results = pool.run();
-    }
+    // Capture saves exactly the stream prefix the grid consumed, so hold
+    // each workload's materialized trace until the sweep is done. The
+    // grid's first row has one cell per workload, and its buildJob
+    // acquires the instance every cell of that workload shares.
+    std::vector<std::pair<std::string, std::shared_ptr<RecordedTrace>>>
+        captured;
+    if (!trace_capture_path.empty())
+        for (std::size_t i = 0; i < wl_list.size(); ++i)
+            captured.emplace_back(wl_list[i],
+                                  farm::buildJob(cells[i]).run_cfg.replay);
 
-    const bool any_sampled = rc.sample_windows > 0;
+    const farm::Cache cache(cache_dir);
+    const std::vector<RunResult> results =
+        farm::runSweep(cells, cache, jobs).results;
+
+    const bool any_sampled = base.sample_windows > 0;
     std::printf("%-8s %-10s %8s %s%8s %8s %8s %8s %9s\n", "l2",
                 "workload", "IPC", any_sampled ? "  +/-ci95 " : "",
                 "hit%", "ros%", "rws%", "cap%", "cycles");
@@ -767,9 +491,9 @@ main(int argc, char **argv)
                     100 * r.frac_hit, 100 * r.frac_ros,
                     100 * r.frac_rws, 100 * r.frac_cap,
                     static_cast<unsigned long long>(r.cycles));
-        if (want_stats)
+        if (base.collect_stats_dump)
             std::printf("%s\n", r.stats_dump.c_str());
-        if (audit || !trace_out.empty() || !binlog_out.empty()) {
+        if (base.audit || !trace_out.empty() || !binlog_out.empty()) {
             inform("%s/%s: %llu trace events, %llu audited transitions",
                    r.l2_kind.c_str(), r.workload.c_str(),
                    static_cast<unsigned long long>(r.trace_events),
@@ -807,22 +531,18 @@ main(int argc, char **argv)
                                 : metrics_out,
                           r.metrics_csv);
     }
-    if (!trace_capture_path.empty()) {
-        // Save exactly what the grid consumed: the published prefix of
-        // each workload's canonical stream.
-        for (const auto &ct : cached_traces) {
-            std::string path = wl_list.size() > 1
-                                   ? tagPath(trace_capture_path, ct.first)
-                                   : trace_capture_path;
-            ct.second->saveTrf(path);
-            inform("captured %s: %llu records/core, %.1f MB resident "
-                   "(packed on disk by the CNTRF001 codec)",
-                   path.c_str(),
-                   static_cast<unsigned long long>(
-                       ct.second->recordsPublished(0)),
-                   static_cast<double>(ct.second->bytesPublished()) /
-                       (1024.0 * 1024.0));
-        }
+    for (const auto &ct : captured) {
+        std::string path = wl_list.size() > 1
+                               ? tagPath(trace_capture_path, ct.first)
+                               : trace_capture_path;
+        ct.second->saveTrf(path);
+        inform("captured %s: %llu records/core, %.1f MB resident "
+               "(packed on disk by the CNTRF001 codec)",
+               path.c_str(),
+               static_cast<unsigned long long>(
+                   ct.second->recordsPublished(0)),
+               static_cast<double>(ct.second->bytesPublished()) /
+                   (1024.0 * 1024.0));
     }
     return 0;
 }

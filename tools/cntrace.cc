@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -216,10 +217,10 @@ main(int argc, char **argv)
                     return argv[++i];
                 };
                 if (a == "--core") {
-                    trf_core = static_cast<int>(
-                        std::strtol(next(), nullptr, 10));
+                    trf_core = static_cast<int>(parseUnsignedFlag(
+                        a, next(), 0, std::numeric_limits<int>::max()));
                 } else if (a == "--limit") {
-                    trf_limit = std::strtoull(next(), nullptr, 10);
+                    trf_limit = parseUnsignedFlag(a, next());
                 } else {
                     fatal("packed-trace dump supports --core/--limit, "
                           "not '%s'",
@@ -313,14 +314,15 @@ main(int argc, char **argv)
                 fatal("unknown event kind '%s'", argv[i]);
             have_kind = true;
         } else if (a == "--core") {
-            core = static_cast<int>(std::strtol(next(), nullptr, 10));
+            core = static_cast<int>(parseUnsignedFlag(
+                a, next(), 0, std::numeric_limits<int>::max()));
         } else if (a == "--addr") {
-            addr = std::strtoull(next(), nullptr, 0);
+            addr = parseUnsignedFlag(a, next(), 0, UINT64_MAX, 0);
             have_addr = true;
         } else if (a == "--component") {
             comp_substr = next();
         } else if (a == "--limit") {
-            limit = std::strtoull(next(), nullptr, 10);
+            limit = parseUnsignedFlag(a, next());
         } else {
             usage(argv[0]);
             fatal("unknown option '%s'", a.c_str());
