@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,17 @@ struct MesicCase
     /** Expected number of data frames holding the block. */
     int frames;
 };
+
+/**
+ * Print a case as its name. Without this gtest dumps the struct's
+ * bytes, pointers included, and the ctest names that
+ * gtest_discover_tests derives from that dump change with every run.
+ */
+void
+PrintTo(const MesicCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 NurapidParams
 tinyNurapid()
