@@ -145,19 +145,13 @@ CmpNurapid::framesOf(Addr addr) const
 int
 CmpNurapid::framesHolding(Addr addr) const
 {
-    Addr baddr = blockAlign(addr, params.block_size);
-    int n = 0;
-    for (int g = 0; g < data.numDGroups(); ++g) {
-        for (const auto &f : data.dgroup(g))
-            n += (f.valid && f.addr == baddr) ? 1 : 0;
-    }
-    return n;
+    return data.holding(blockAlign(addr, params.block_size));
 }
 
 void
 CmpNurapid::evictSharedFrame(const FwdPtr &fwd, Tick at)
 {
-    Frame &f = data.at(fwd.dgroup, fwd.frame);
+    const Frame &f = data.at(fwd.dgroup, fwd.frame);
     cnsim_assert(f.valid, "evicting an invalid shared frame");
     Addr addr = f.addr;
     const TagEntry &home = tags[f.rev.core]->at(f.rev.set, f.rev.way);
@@ -255,7 +249,7 @@ CmpNurapid::makeFrameAvailable(CoreId core, int start_rank, int stop_rank)
     }
     cnsim_assert(vidx != invalid_id,
                  "d-group %d has no eligible distance victim", dg);
-    Frame &f = data.at(dg, vidx);
+    const Frame &f = data.at(dg, vidx);
     TagEntry &rev = tags[f.rev.core]->at(f.rev.set, f.rev.way);
     cnsim_assert(rev.valid && rev.addr == f.addr &&
                      rev.fwd == (FwdPtr{dg, vidx}),
@@ -275,13 +269,9 @@ CmpNurapid::makeFrameAvailable(CoreId core, int start_rank, int stop_rank)
         // Demote the victim one hop down the preference order.
         int tgt = makeFrameAvailable(core, start_rank + 1, stop_rank);
         DGroupId tdg = order[start_rank + 1];
-        Frame &nf = data.at(tdg, tgt);
-        nf.valid = true;
-        nf.addr = f.addr;
-        nf.rev = f.rev;
+        data.fill(tdg, tgt, f.addr, f.rev);
         rev.fwd = FwdPtr{tdg, tgt};
-        emitDGroup(op_tick, f.rev.core, nf.addr, obs::DGroupOp::Demotion,
-                   tdg);
+        emitDGroup(op_tick, f.rev.core, f.addr, obs::DGroupOp::Demotion, tdg);
         data.free(dg, vidx);
         n_demotions.inc();
     }
@@ -367,10 +357,7 @@ CmpNurapid::maybePromote(CoreId core, TagEntry *e, Tick at)
     data.free(e->fwd.dgroup, e->fwd.frame);
     int idx = makeFrameAvailable(core, target_rank, cur_rank);
     DGroupId tdg = pref.order(core)[target_rank];
-    Frame &nf = data.at(tdg, idx);
-    nf.valid = true;
-    nf.addr = addr;
-    nf.rev = pos;
+    data.fill(tdg, idx, addr, pos);
     e->fwd = FwdPtr{tdg, idx};
     emitDGroup(at, core, addr, obs::DGroupOp::Promotion, tdg,
                tdg == pref.closest(core));
@@ -476,10 +463,7 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                         data.at(old.dgroup, old.frame).rev ==
                         tags[c]->posOf(e);
                     FwdPtr nf = placeInClosest(c, invalid_id);
-                    Frame &f = data.at(nf.dgroup, nf.frame);
-                    f.valid = true;
-                    f.addr = baddr;
-                    f.rev = tags[c]->posOf(e);
+                    data.fill(nf.dgroup, nf.frame, baddr, tags[c]->posOf(e));
                     e->fwd = nf;
                     emitDGroup(td, c, baddr, obs::DGroupOp::Replication,
                                nf.dgroup, true);
@@ -555,10 +539,7 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                     for (const FwdPtr &f : old)
                         data.free(f.dgroup, f.frame);
                     FwdPtr nf = placeInClosest(c, invalid_id);
-                    Frame &fr = data.at(nf.dgroup, nf.frame);
-                    fr.valid = true;
-                    fr.addr = baddr;
-                    fr.rev = tags[c]->posOf(e);
+                    data.fill(nf.dgroup, nf.frame, baddr, tags[c]->posOf(e));
                     e->fwd = nf;
                     emitTrans(tb, c, baddr, e->state, CohState::Modified,
                               obs::TransCause::PrWr);
@@ -649,10 +630,7 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                            old.dgroup, true);
             } else {
                 FwdPtr nf = placeInClosest(c, freed_dg);
-                Frame &fr = data.at(nf.dgroup, nf.frame);
-                fr.valid = true;
-                fr.addr = baddr;
-                fr.rev = my_pos;
+                data.fill(nf.dgroup, nf.frame, baddr, my_pos);
                 freeOtherFrames(baddr, nf);
                 repointAllSharers(baddr, nf, c, false,
                                   obs::TransCause::BusRd, tr);
@@ -689,10 +667,7 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                 n_pointer_joins.inc();
             } else {
                 FwdPtr nf = placeInClosest(c, freed_dg);
-                Frame &fr = data.at(nf.dgroup, nf.frame);
-                fr.valid = true;
-                fr.addr = baddr;
-                fr.rev = my_pos;
+                data.fill(nf.dgroup, nf.frame, baddr, my_pos);
                 e->state = CohState::Shared;
                 e->fwd = nf;
                 emitDGroup(tr, c, baddr, obs::DGroupOp::Replication,
@@ -731,10 +706,7 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             } else {
                 // Uncontrolled replication (private-cache behaviour).
                 FwdPtr nf = placeInClosest(c, freed_dg);
-                Frame &fr = data.at(nf.dgroup, nf.frame);
-                fr.valid = true;
-                fr.addr = baddr;
-                fr.rev = my_pos;
+                data.fill(nf.dgroup, nf.frame, baddr, my_pos);
                 e->state = CohState::Shared;
                 e->fwd = nf;
                 emitDGroup(tr, c, baddr, obs::DGroupOp::Replication,
@@ -750,10 +722,7 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             // Off-chip: fill from memory into our closest d-group, E.
             Tick tm = memory.read(tb);
             FwdPtr nf = placeInClosest(c, freed_dg);
-            Frame &fr = data.at(nf.dgroup, nf.frame);
-            fr.valid = true;
-            fr.addr = baddr;
-            fr.rev = my_pos;
+            data.fill(nf.dgroup, nf.frame, baddr, my_pos);
             e->state = CohState::Exclusive;
             e->fwd = nf;
             emitTrans(tm, c, baddr, CohState::Invalid,
@@ -807,10 +776,7 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             for (const FwdPtr &f : old)
                 data.free(f.dgroup, f.frame);
             FwdPtr nf = placeInClosest(c, freed_dg);
-            Frame &fr = data.at(nf.dgroup, nf.frame);
-            fr.valid = true;
-            fr.addr = baddr;
-            fr.rev = my_pos;
+            data.fill(nf.dgroup, nf.frame, baddr, my_pos);
             e->state = CohState::Modified;
             e->fwd = nf;
             emitTrans(tr, c, baddr, CohState::Invalid, CohState::Modified,
@@ -822,10 +788,7 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
         } else {
             Tick tm = memory.read(tb);
             FwdPtr nf = placeInClosest(c, freed_dg);
-            Frame &fr = data.at(nf.dgroup, nf.frame);
-            fr.valid = true;
-            fr.addr = baddr;
-            fr.rev = my_pos;
+            data.fill(nf.dgroup, nf.frame, baddr, my_pos);
             e->state = CohState::Modified;
             e->fwd = nf;
             emitTrans(tm, c, baddr, CohState::Invalid, CohState::Modified,
@@ -953,6 +916,9 @@ CmpNurapid::checkInvariants() const
                          a.frames);
         }
     });
+    // 4. The per-block frame count behind checkBlockInvariants agrees
+    //    with a recount of the frames.
+    data.checkHolding();
 }
 
 void
@@ -1002,10 +968,11 @@ CmpNurapid::checkBlockInvariants(Addr addr) const
                      static_cast<unsigned long long>(baddr));
     }
     if (dirty) {
-        cnsim_assert(framesHolding(baddr) == 1,
-                     "dirty block %llx has %d frames",
-                     static_cast<unsigned long long>(baddr),
-                     framesHolding(baddr));
+        // Counted over every frame, not through the tags' forward
+        // pointers, so a leaked frame no tag points at is caught too.
+        int frames = data.holding(baddr);
+        cnsim_assert(frames == 1, "dirty block %llx has %d frames",
+                     static_cast<unsigned long long>(baddr), frames);
     }
 }
 

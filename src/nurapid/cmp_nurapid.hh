@@ -121,7 +121,7 @@ class CmpNurapid : public L2Org
     /** Forward pointer of @p addr in @p core's tag array (tests). */
     [[nodiscard]] FwdPtr fwdOf(CoreId core, Addr addr) const;
 
-    /** Number of data frames currently holding @p addr (tests). */
+    /** Number of data frames currently holding @p addr. */
     [[nodiscard]] int framesHolding(Addr addr) const;
 
     /** Valid-frame count of a d-group (capacity-stealing studies). */

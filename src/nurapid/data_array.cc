@@ -36,12 +36,69 @@ NuDataArray::allocate(DGroupId dg)
 }
 
 void
+NuDataArray::fill(DGroupId dg, int idx, Addr addr, TagPos rev)
+{
+    Frame &f = frames[dg][idx];
+    cnsim_assert(!f.valid, "fill of valid frame %d in d-group %d", idx, dg);
+    cnsim_assert(rev.valid(),
+                 "fill of frame %d in d-group %d without a reverse pointer",
+                 idx, dg);
+    f.addr = addr;
+    f.valid = true;
+    f.rev = rev;
+    if (counted)
+        ++n_holding[addr];
+}
+
+void
 NuDataArray::free(DGroupId dg, int idx)
 {
     Frame &f = frames[dg][idx];
     cnsim_assert(f.valid, "double free of frame %d in d-group %d", idx, dg);
+    if (counted && --n_holding[f.addr] == 0)
+        n_holding.erase(f.addr);
     f = Frame{};
     free_list[dg].push_back(idx);
+}
+
+FlatMap<Addr, int>
+NuDataArray::countFrames() const
+{
+    FlatMap<Addr, int> n;
+    for (const auto &g : frames)
+        for (const Frame &f : g)
+            if (f.valid)
+                ++n[f.addr];
+    return n;
+}
+
+int
+NuDataArray::holding(Addr addr) const
+{
+    if (!counted) {
+        n_holding = countFrames();
+        counted = true;
+    }
+    const int *n = n_holding.find(addr);
+    return n ? *n : 0;
+}
+
+void
+NuDataArray::checkHolding() const
+{
+    if (!counted)
+        return;
+    FlatMap<Addr, int> recount = countFrames();
+    cnsim_assert(recount.size() == n_holding.size(),
+                 "frame count tracks %zu blocks, the frames hold %zu",
+                 n_holding.size(), recount.size());
+    recount.forEach([this](Addr addr, int n) {
+        const int *kept = n_holding.find(addr);
+        cnsim_assert(kept && *kept == n,
+                     "frame count of %llx is %d, the frames hold %d",
+                     static_cast<unsigned long long>(addr), kept ? *kept : 0,
+                     n);
+    });
 }
 
 int
@@ -76,6 +133,7 @@ NuDataArray::flushAll()
         for (int i = static_cast<int>(frames_per) - 1; i >= 0; --i)
             free_list[g].push_back(i);
     }
+    n_holding.clear();
 }
 
 void
@@ -107,6 +165,7 @@ NuDataArray::loadState(sample::Reader &r)
                  "checkpoint data-array geometry %ux%u mismatches %dx%u",
                  dgs, fp, numDGroups(), frames_per);
     for (int g = 0; g < numDGroups(); ++g) {
+        unsigned n_invalid = 0;
         for (Frame &f : frames[g]) {
             f.addr = r.u64();
             f.valid = r.u8() & 1;
@@ -114,14 +173,38 @@ NuDataArray::loadState(sample::Reader &r)
                 static_cast<CoreId>(static_cast<std::int32_t>(r.u32()));
             f.rev.set = static_cast<int>(static_cast<std::int32_t>(r.u32()));
             f.rev.way = static_cast<int>(static_cast<std::int32_t>(r.u32()));
+            cnsim_assert(!f.valid || f.rev.valid(),
+                         "checkpoint frame of %llx in d-group %d has no "
+                         "reverse pointer",
+                         static_cast<unsigned long long>(f.addr), g);
+            n_invalid += !f.valid;
         }
+        // The free list must name every invalid frame exactly once:
+        // allocate() pops it unchecked.
         std::uint32_t n_free = r.u32();
-        cnsim_assert(n_free <= frames_per, "free list larger than d-group");
+        cnsim_assert(n_free == n_invalid,
+                     "checkpoint d-group %d lists %u free frames but has "
+                     "%u invalid ones",
+                     g, n_free, n_invalid);
+        std::vector<bool> listed(frames_per, false);
         free_list[g].clear();
-        for (std::uint32_t i = 0; i < n_free; ++i)
-            free_list[g].push_back(
-                static_cast<int>(static_cast<std::int32_t>(r.u32())));
+        for (std::uint32_t i = 0; i < n_free; ++i) {
+            std::uint32_t idx = r.u32();
+            cnsim_assert(idx < frames_per,
+                         "checkpoint free-list index %u out of range in "
+                         "d-group %d",
+                         idx, g);
+            cnsim_assert(!frames[g][idx].valid && !listed[idx],
+                         "checkpoint free list of d-group %d names %s "
+                         "frame %u",
+                         g, listed[idx] ? "a repeated" : "a valid", idx);
+            listed[idx] = true;
+            free_list[g].push_back(static_cast<int>(idx));
+        }
     }
+    // Rebuilt on the next holding() query.
+    n_holding = {};
+    counted = false;
 }
 
 } // namespace cnsim

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/flat_map.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "nurapid/tag_array.hh"
@@ -49,8 +50,25 @@ class NuDataArray
     /** @return frame index of a free frame in @p dg, or invalid_id. */
     [[nodiscard]] int allocate(DGroupId dg);
 
+    /**
+     * Make allocated frame @p idx of @p dg hold @p addr for the tag
+     * entry at @p rev. The only way a frame becomes valid.
+     */
+    void fill(DGroupId dg, int idx, Addr addr, TagPos rev);
+
     /** Free frame @p idx of @p dg. */
     void free(DGroupId dg, int idx);
+
+    /**
+     * Number of valid frames holding block @p addr. The first call
+     * counts every frame once; fill() and free() keep the count from
+     * then on, so runs that never ask pay nothing for it.
+     */
+    [[nodiscard]] int holding(Addr addr) const;
+
+    /** Recount frames per block and assert holding() agrees, if the
+     * count has been built. */
+    void checkHolding() const;
 
     /**
      * Pick a random valid frame of @p dg as a distance-replacement
@@ -67,7 +85,6 @@ class NuDataArray
         return !free_list[dg].empty();
     }
 
-    Frame &at(DGroupId dg, int idx) { return frames[dg][idx]; }
     const Frame &at(DGroupId dg, int idx) const { return frames[dg][idx]; }
 
     [[nodiscard]] int numDGroups() const
@@ -93,13 +110,21 @@ class NuDataArray
      * from the back, so the free-list sequence is architectural). */
     void saveState(sample::Writer &w) const;
 
-    /** Restore frames and free lists written by saveState. */
+    /** Restore frames and free lists written by saveState, rejecting
+     * any free list that disagrees with the frames. */
     void loadState(sample::Reader &r);
 
   private:
+    /** Valid frames per block address, counted from scratch. */
+    FlatMap<Addr, int> countFrames() const;
+
     unsigned frames_per;
     std::vector<std::vector<Frame>> frames;
     std::vector<std::vector<int>> free_list;
+    /** holding()'s count, built on its first call (zero entries are
+     * erased). */
+    mutable FlatMap<Addr, int> n_holding;
+    mutable bool counted = false;
 };
 
 } // namespace cnsim

@@ -1,15 +1,19 @@
 /**
  * @file
  * Unit tests for CMP-NuRAPID's tag and data arrays: forward/reverse
- * pointers, category-prioritized tag replacement, and frame
- * allocation.
+ * pointers, category-prioritized tag replacement, frame allocation,
+ * the per-block frame count, and checkpoint validation.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "common/rng.hh"
 #include "nurapid/data_array.hh"
 #include "nurapid/tag_array.hh"
+#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -107,17 +111,30 @@ TEST(NuTagArray, VictimSkipsBusyEntries)
     EXPECT_EQ(v, b);
 }
 
+/** A reverse pointer for frames whose owning tag does not matter. */
+constexpr TagPos some_tag{0, 0, 0};
+
 TEST(NuDataArray, AllocateFreeCycle)
 {
     NuDataArray d(2, 4);
     int f = d.allocate(0);
     ASSERT_NE(f, invalid_id);
-    d.at(0, f).valid = true;
-    d.at(0, f).addr = 0x1000;
+    d.fill(0, f, 0x1000, some_tag);
     EXPECT_EQ(d.occupancy(0), 1u);
     d.free(0, f);
     EXPECT_EQ(d.occupancy(0), 0u);
     EXPECT_FALSE(d.at(0, f).valid);
+}
+
+TEST(NuDataArray, FillSetsEveryField)
+{
+    NuDataArray d(1, 2);
+    int f = d.allocate(0);
+    d.fill(0, f, 0x2080, TagPos{3, 5, 1});
+    const Frame &fr = d.at(0, f);
+    EXPECT_TRUE(fr.valid);
+    EXPECT_EQ(fr.addr, 0x2080u);
+    EXPECT_TRUE(fr.rev == (TagPos{3, 5, 1}));
 }
 
 TEST(NuDataArray, ExhaustionReturnsInvalid)
@@ -125,8 +142,8 @@ TEST(NuDataArray, ExhaustionReturnsInvalid)
     NuDataArray d(1, 2);
     int a = d.allocate(0);
     int b = d.allocate(0);
-    d.at(0, a).valid = true;
-    d.at(0, b).valid = true;
+    d.fill(0, a, 0x100, some_tag);
+    d.fill(0, b, 0x200, some_tag);
     EXPECT_FALSE(d.hasFree(0));
     EXPECT_EQ(d.allocate(0), invalid_id);
 }
@@ -135,7 +152,7 @@ TEST(NuDataArray, DGroupsAreIndependent)
 {
     NuDataArray d(3, 1);
     int f0 = d.allocate(0);
-    d.at(0, f0).valid = true;
+    d.fill(0, f0, 0x100, some_tag);
     EXPECT_FALSE(d.hasFree(0));
     EXPECT_TRUE(d.hasFree(1));
     EXPECT_TRUE(d.hasFree(2));
@@ -148,10 +165,8 @@ TEST(NuDataArray, RandomVictimSkipsPinned)
     // Two valid frames: one pinned, one not.
     int a = d.allocate(0);
     int b = d.allocate(0);
-    d.at(0, a).valid = true;
-    d.at(0, a).addr = 0x100;
-    d.at(0, b).valid = true;
-    d.at(0, b).addr = 0x200;
+    d.fill(0, a, 0x100, some_tag);
+    d.fill(0, b, 0x200, some_tag);
     for (int i = 0; i < 50; ++i) {
         int v = d.randomVictim(0, rng, 0x100);
         EXPECT_EQ(v, b);
@@ -163,8 +178,7 @@ TEST(NuDataArray, RandomVictimNoneEligible)
     NuDataArray d(1, 1);
     Rng rng(5);
     int a = d.allocate(0);
-    d.at(0, a).valid = true;
-    d.at(0, a).addr = 0x100;
+    d.fill(0, a, 0x100, some_tag);
     EXPECT_EQ(d.randomVictim(0, rng, 0x100), invalid_id);
 }
 
@@ -173,19 +187,230 @@ TEST(NuDataArray, RandomVictimFindsOnlyValid)
     NuDataArray d(1, 64);
     Rng rng(5);
     int a = d.allocate(0);
-    d.at(0, a).valid = true;
-    d.at(0, a).addr = 0x300;
+    d.fill(0, a, 0x300, some_tag);
     for (int i = 0; i < 20; ++i)
         EXPECT_EQ(d.randomVictim(0, rng, 0x999), a);
+}
+
+/** Valid frames holding @p addr, by brute force over every d-group. */
+int
+scanHolding(const NuDataArray &d, Addr addr)
+{
+    int n = 0;
+    for (int g = 0; g < d.numDGroups(); ++g)
+        for (const Frame &f : d.dgroup(g))
+            n += f.valid && f.addr == addr;
+    return n;
+}
+
+/** Few block addresses, so blocks routinely sit in several frames. */
+constexpr int n_blocks = 6;
+
+Addr
+blockAddr(int i)
+{
+    return static_cast<Addr>(i) * 128;
+}
+
+void
+expectHoldingMatchesScan(const NuDataArray &d)
+{
+    for (int i = 0; i <= n_blocks; ++i)
+        EXPECT_EQ(d.holding(blockAddr(i)), scanHolding(d, blockAddr(i)))
+            << "block " << i;
+    d.checkHolding();
+}
+
+/** Randomly fill and free @p steps frames, the way the L2 does. */
+void
+churn(NuDataArray &d, Rng &rng, int steps)
+{
+    for (int s = 0; s < steps; ++s) {
+        DGroupId g = static_cast<DGroupId>(rng.below(d.numDGroups()));
+        if (d.hasFree(g) && (d.occupancy(g) == 0 || rng.chance(0.6))) {
+            d.fill(g, d.allocate(g),
+                   blockAddr(static_cast<int>(rng.below(n_blocks))),
+                   some_tag);
+        } else {
+            const auto &frames = d.dgroup(g);
+            int i = static_cast<int>(rng.below(frames.size()));
+            while (!frames[i].valid)
+                i = (i + 1) % static_cast<int>(frames.size());
+            d.free(g, i);
+        }
+    }
+}
+
+TEST(NuDataArray, HoldingMatchesScanUnderRandomFillFree)
+{
+    NuDataArray d(3, 8);
+    Rng rng(11);
+    // The first query comes after frames are already valid, so the
+    // count starts from its one full scan.
+    churn(d, rng, 40);
+    ASSERT_GT(d.occupancy(0) + d.occupancy(1) + d.occupancy(2), 0u);
+    expectHoldingMatchesScan(d);
+    for (int round = 0; round < 50; ++round) {
+        churn(d, rng, 7);
+        expectHoldingMatchesScan(d);
+    }
+}
+
+TEST(NuDataArray, HoldingAfterFlushAll)
+{
+    NuDataArray d(2, 8);
+    Rng rng(12);
+    churn(d, rng, 30);
+    expectHoldingMatchesScan(d);
+    d.flushAll();
+    for (int i = 0; i <= n_blocks; ++i)
+        EXPECT_EQ(d.holding(blockAddr(i)), 0);
+    churn(d, rng, 30);
+    expectHoldingMatchesScan(d);
+}
+
+TEST(NuDataArray, HoldingAfterLoadState)
+{
+    NuDataArray src(2, 8);
+    Rng rng(13);
+    churn(src, rng, 30);
+    sample::Writer w;
+    src.saveState(w);
+
+    // The destination's own count, built over different frames, must
+    // not survive the restore.
+    NuDataArray dst(2, 8);
+    Rng other(14);
+    churn(dst, other, 30);
+    expectHoldingMatchesScan(dst);
+    sample::Reader r(w.bytes().data(), w.bytes().size(), "data array");
+    dst.loadState(r);
+    expectHoldingMatchesScan(dst);
+    for (int i = 0; i <= n_blocks; ++i)
+        EXPECT_EQ(dst.holding(blockAddr(i)), src.holding(blockAddr(i)));
+    churn(dst, rng, 30);
+    expectHoldingMatchesScan(dst);
 }
 
 TEST(NuDataArrayDeathTest, DoubleFreePanics)
 {
     NuDataArray d(1, 2);
     int f = d.allocate(0);
-    d.at(0, f).valid = true;
+    d.fill(0, f, 0x100, some_tag);
     d.free(0, f);
     EXPECT_DEATH(d.free(0, f), "double free");
+}
+
+TEST(NuDataArrayDeathTest, FillNeedsReversePointer)
+{
+    NuDataArray d(1, 2);
+    int f = d.allocate(0);
+    EXPECT_DEATH(d.fill(0, f, 0x100, TagPos{}), "without a reverse pointer");
+}
+
+TEST(NuDataArrayDeathTest, FillOfValidFramePanics)
+{
+    NuDataArray d(1, 2);
+    int f = d.allocate(0);
+    d.fill(0, f, 0x100, some_tag);
+    EXPECT_DEATH(d.fill(0, f, 0x200, some_tag), "fill of valid frame");
+}
+
+/**
+ * A saveState buffer of a 1x4 data array with frames 0 and 1 valid,
+ * plus the byte offsets of its fields for patching. Layout: u32
+ * d-groups, u32 frames per d-group, per frame {u64 addr, u8 valid,
+ * u32 rev core/set/way}, then u32 free count and u32 free indices.
+ */
+struct SavedArray
+{
+    static constexpr std::size_t frame_bytes = 8 + 1 + 3 * 4;
+    static constexpr std::size_t free_count = 8 + 4 * frame_bytes;
+
+    std::string bytes;
+
+    SavedArray()
+    {
+        NuDataArray d(1, 4);
+        d.fill(0, d.allocate(0), 0x100, some_tag);
+        d.fill(0, d.allocate(0), 0x200, some_tag);
+        sample::Writer w;
+        d.saveState(w);
+        bytes = w.take();
+    }
+
+    static std::size_t validByte(int frame)
+    {
+        return 8 + frame * frame_bytes + 8;
+    }
+    static std::size_t revCore(int frame) { return validByte(frame) + 1; }
+    static std::size_t freeEntry(int k) { return free_count + 4 + 4 * k; }
+
+    void
+    putU32(std::size_t off, std::uint32_t v)
+    {
+        std::memcpy(&bytes[off], &v, sizeof(v));
+    }
+
+    void
+    load() const
+    {
+        NuDataArray d(1, 4);
+        sample::Reader r(bytes.data(), bytes.size(), "data array");
+        d.loadState(r);
+    }
+};
+
+TEST(NuDataArray, UnpatchedBufferLoads)
+{
+    SavedArray s;
+    ASSERT_EQ(s.bytes.size(), SavedArray::freeEntry(2));
+    s.load();
+}
+
+TEST(NuDataArrayDeathTest, LoadRejectsFreeIndexOutOfRange)
+{
+    SavedArray s;
+    s.putU32(SavedArray::freeEntry(0), 4);
+    EXPECT_DEATH(s.load(), "free-list index 4 out of range");
+}
+
+TEST(NuDataArrayDeathTest, LoadRejectsNegativeFreeIndex)
+{
+    SavedArray s;
+    s.putU32(SavedArray::freeEntry(1), static_cast<std::uint32_t>(-1));
+    EXPECT_DEATH(s.load(), "free-list index 4294967295 out of range");
+}
+
+TEST(NuDataArrayDeathTest, LoadRejectsFreeEntryNamingValidFrame)
+{
+    SavedArray s;
+    s.putU32(SavedArray::freeEntry(0), 1);
+    EXPECT_DEATH(s.load(), "names a valid frame 1");
+}
+
+TEST(NuDataArrayDeathTest, LoadRejectsRepeatedFreeEntry)
+{
+    SavedArray s;
+    std::uint32_t first;
+    std::memcpy(&first, &s.bytes[SavedArray::freeEntry(0)], sizeof(first));
+    s.putU32(SavedArray::freeEntry(1), first);
+    EXPECT_DEATH(s.load(), "names a repeated frame");
+}
+
+TEST(NuDataArrayDeathTest, LoadRejectsFreeCountMismatch)
+{
+    SavedArray s;
+    // Frame 1 turns invalid, but the free list still names only 2.
+    s.bytes[SavedArray::validByte(1)] = 0;
+    EXPECT_DEATH(s.load(), "lists 2 free frames but has 3 invalid");
+}
+
+TEST(NuDataArrayDeathTest, LoadRejectsValidFrameWithoutReversePointer)
+{
+    SavedArray s;
+    s.putU32(SavedArray::revCore(0), static_cast<std::uint32_t>(-1));
+    EXPECT_DEATH(s.load(), "frame of 100 in d-group 0 has no reverse");
 }
 
 TEST(FwdPtr, EqualityAndValidity)

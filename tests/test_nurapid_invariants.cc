@@ -10,7 +10,8 @@
  *  2. every valid frame's reverse pointer names a valid tag whose
  *     forward pointer points straight back;
  *  3. E/M blocks have exactly one tag copy; dirty (M/C) blocks have
- *     exactly one data frame; a block's copies are uniformly S or C.
+ *     exactly one data frame; a block's copies are uniformly S or C;
+ *  4. the frame count behind checkBlockInvariants() matches a recount.
  */
 
 #include <gtest/gtest.h>
@@ -58,6 +59,11 @@ fuzz(const NurapidParams &p, std::uint64_t stream_seed, int ops,
         acc.addr = static_cast<Addr>(rng.below(pool_blocks)) * 128;
         acc.op = rng.chance(store_frac) ? MemOp::Store : MemOp::Load;
         l2.access(acc, t);
+        // The per-access audit check starts a quarter of the way in, so
+        // its frame count is first built over a warm data array and is
+        // then recounted by every checkInvariants().
+        if (i >= ops / 4)
+            l2.checkBlockInvariants(acc.addr);
         t += 100;
         if (i % check_every == check_every - 1)
             l2.checkInvariants();

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mem/bus.hh"
 #include "mem/memory.hh"
 #include "nurapid/cmp_nurapid.hh"
+#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -251,6 +254,49 @@ TEST(NurapidISC, DirtySignalDistinguishesJoinFromFetch)
     EXPECT_EQ(r.l2.stateOf(3, 0x2000), CohState::Modified);
     EXPECT_FALSE(a.l1WriteThrough);
     EXPECT_TRUE(a.l1Owned);
+}
+
+TEST(NurapidISCDeathTest, BlockCheckCatchesLeakedFrameOfDirtyBlock)
+{
+    // A second frame of an M block that no tag points at: the frame
+    // count is taken over the data array, not through forward
+    // pointers, so the per-access check must still see two frames.
+    Rig r;
+    r.l2.access({0, 0x1000, MemOp::Store}, 0);
+    ASSERT_EQ(r.l2.stateOf(0, 0x1000), CohState::Modified);
+    r.l2.checkBlockInvariants(0x1000);
+    sample::Writer w;
+    r.l2.saveState(w);
+    std::string blob = w.take();
+
+    // Splice a leaked frame into the data-array part of the checkpoint,
+    // which follows the four tag arrays.
+    NurapidParams p = tinyNurapid();
+    auto frames_per = static_cast<unsigned>(p.dgroup_capacity / p.block_size);
+    unsigned sets =
+        frames_per * p.num_dgroups / p.num_cores / p.assoc * p.tag_factor;
+    sample::Reader rd(blob.data(), blob.size(), "nurapid");
+    NuTagArray tags(0, sets, p.assoc, p.block_size);
+    for (int c = 0; c < p.num_cores; ++c)
+        tags.loadState(rd);
+    std::size_t begin = blob.size() - rd.remaining();
+    NuDataArray data(p.num_dgroups, frames_per);
+    data.loadState(rd);
+    std::size_t end = blob.size() - rd.remaining();
+    FwdPtr fwd = r.l2.fwdOf(0, 0x1000);
+    DGroupId other = (fwd.dgroup + 1) % p.num_dgroups;
+    data.fill(other, data.allocate(other), 0x1000,
+              data.at(fwd.dgroup, fwd.frame).rev);
+    sample::Writer leaked;
+    data.saveState(leaked);
+    blob.replace(begin, end - begin, leaked.bytes());
+
+    Rig restored;
+    sample::Reader rr(blob.data(), blob.size(), "nurapid");
+    restored.l2.loadState(rr);
+    EXPECT_EQ(restored.l2.framesHolding(0x1000), 2);
+    EXPECT_DEATH(restored.l2.checkBlockInvariants(0x1000),
+                 "dirty block 1000 has 2 frames");
 }
 
 } // namespace
