@@ -167,12 +167,10 @@ runAll(const std::vector<GridJob> &grid)
     if (todo.empty())
         return;
 
-    ParallelRunner pool(jobsFromEnv());
     // Bench grids vary the system configuration over a fixed workload
-    // set, so every cell shares one canonical pre-materialized stream
-    // per (workload, seed): generation is paid once per workload, not
-    // once per cell.
-    pool.enableSharedTraceCache();
+    // set, so the pool materializes each workload's stream once and
+    // every cell of that workload reads it.
+    ParallelRunner pool(jobsFromEnv());
     for (const GridJob *g : todo)
         pool.submit(g->cfg, workloads::byName(g->workload), runConfig());
     pool.onProgress([&](const JobReport &rep) {
@@ -198,20 +196,6 @@ runAll(const std::vector<L2Kind> &kinds,
     runAll(grid);
 }
 
-/**
- * The bench RunConfig with the workload's shared canonical trace
- * attached, so cells run outside a runAll() grid still replay the
- * same stream as the grid cells.
- */
-inline RunConfig
-replayConfig(const WorkloadSpec &wl)
-{
-    RunConfig rc = runConfig();
-    rc.replay = TraceCache::global().acquire(
-        Runner::effectiveSynthParams(wl, rc));
-    return rc;
-}
-
 /** Run one custom-config cell under the bench budget (cached by tag). */
 inline RunResult
 run(const std::string &tag, const SystemConfig &cfg,
@@ -221,8 +205,7 @@ run(const std::string &tag, const SystemConfig &cfg,
     RunResult r;
     if (detail::lookup(k, r))
         return r;
-    WorkloadSpec wl = workloads::byName(workload);
-    r = Runner::run(cfg, wl, replayConfig(wl));
+    r = Runner::run(cfg, workloads::byName(workload), runConfig());
     detail::store(k, r);
     return r;
 }
@@ -238,8 +221,7 @@ run(L2Kind kind, const std::string &workload)
 inline RunResult
 run(const SystemConfig &cfg, const std::string &workload)
 {
-    WorkloadSpec wl = workloads::byName(workload);
-    return Runner::run(cfg, wl, replayConfig(wl));
+    return Runner::run(cfg, workloads::byName(workload), runConfig());
 }
 
 inline void

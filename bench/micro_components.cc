@@ -9,6 +9,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "cache/l1_cache.hh"
 #include "common/rng.hh"
 #include "l2/private_l2.hh"
@@ -196,9 +199,15 @@ BM_SynthTraceGeneration(benchmark::State &state)
 {
     WorkloadSpec w = workloads::byName("oltp");
     SynthWorkload synth(w.synth);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(synth.source(0).next());
-    state.SetItemsProcessed(state.iterations());
+    std::vector<TraceRecord> round(w.synth.threads.size());
+    for (auto _ : state) {
+        synth.drawRound(round);
+        benchmark::DoNotOptimize(round.data());
+        benchmark::ClobberMemory();
+    }
+    // Items are records: one canonical round draws one per thread.
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(round.size()));
 }
 BENCHMARK(BM_SynthTraceGeneration);
 

@@ -27,31 +27,25 @@
  *    dnuca the migration machinery -- plus "mesh16", CMP-NuRAPID at
  *    16 cores over the mesh directory (NoC links, home striping,
  *    sharer fan-out). Reported as *accesses per wall-second* (one
- *    kernel event per trace record). These runs generate their
- *    reference streams live so the numbers stay comparable with the
- *    pre-replay trajectory.
+ *    kernel event per trace record). Each run is a lone cell, so it
+ *    generates its own canonical stream (CanonicalWorkload).
  *
- * 2. A 7-organization sweep over oltp, timed end to end three ways.
- *    Multi-org grids promise every cell byte-identical records (the
- *    canonical-order contract -- cross-org comparisons are only
- *    meaningful on the same stream), so the gated comparison holds
- *    that contract constant and prices only the delivery mechanism:
- *    "canonical" regenerates the canonical stream inline in every
- *    cell (RunConfig::canonical_live -- generator plus parking FIFO,
- *    7 times), "replay" is what enableSharedTraceCache selects for 7
- *    sharers (generate once, materialize as flat in-memory record
- *    chunks, every cell reads a plain array cursor; the varint codec
- *    exists only at the CNTRF001 file boundary). speedup =
- *    canonical/replay and must not drop below 1: if it does, the
- *    default policy is materializing where regeneration is cheaper.
- *    The third arm, "live" (timing-interleaved per-cell draw order,
- *    no cross-org stream identity), is reported as a reference floor:
- *    live vs canonical is the price of the contract itself, which no
- *    delivery mechanism can buy back. The arms alternate within each
- *    rep so slow host drift hits all sides equally. generator_share
- *    is the fraction of the live sweep's wall time attributable to
- *    reference-stream generation (7x the standalone generation cost
- *    of one stream).
+ * 2. A 7-organization sweep over oltp, timed end to end two ways.
+ *    Every cell draws the same canonical stream either way, so the
+ *    comparison prices only its delivery: "canonical" is seven
+ *    separate Runner::run calls, each generating the stream itself
+ *    (generator plus parking FIFO, 7 times); "replay" is one
+ *    ParallelRunner batch of the seven, which materializes the shared
+ *    stream once as flat in-memory record chunks that every cell reads
+ *    through a plain array cursor (the varint codec exists only at the
+ *    CNTRF001 file boundary). Both arms run on one thread, so the
+ *    ratio stays like-for-like on any host. speedup = canonical/replay
+ *    and must not drop below 1: if it does, ParallelRunner is
+ *    materializing where generating is cheaper. The arms alternate
+ *    within each rep so slow host drift hits both sides equally.
+ *    generator_share is the fraction of the canonical sweep's wall
+ *    time attributable to stream generation (7x the standalone
+ *    generation cost of one stream).
  *
  * 3. The sampled-sweep scenario (DESIGN.md 3i): every organization is
  *    warmed exactly once and snapshotted to an in-memory CNCKPT01
@@ -139,10 +133,8 @@ withObs(const SystemConfig &cfg, const std::string &tag)
 
 struct SweepResult
 {
-    double live_ms_p50 = 0.0;  //!< reference floor: per-cell live order
     double canonical_ms_p50 = 0.0;  //!< canonical stream, regenerated
     double replay_ms_p50 = 0.0;     //!< canonical stream, materialized
-    double live_ms_best = 0.0;
     double canonical_ms_best = 0.0;
     double replay_ms_best = 0.0;
     double speedup = 0.0;  //!< canonical_ms_p50 / replay_ms_p50
@@ -228,37 +220,38 @@ measure(const std::string &tag, const SystemConfig &cfg,
 /** Stream-delivery arm of the sweep scenario. */
 enum class SweepArm
 {
-    Live,       //!< per-cell timing-interleaved order (no contract)
-    Canonical,  //!< canonical order, regenerated inline in every cell
-    Replay      //!< canonical order via the shared trace cache
+    Canonical,  //!< separate runs, each generating the stream
+    Replay      //!< one batch reading the stream it materialized
 };
 
-/** One timed 7-org sweep under the given stream-delivery arm.
- *  Deliberately uninstrumented: scenario 1 prices observability, and
- *  on a storage-bound single-CPU host the binlog writer would
- *  dominate the wall clock and bury the stream-delivery cost this
- *  scenario exists to compare. */
+/** One timed 7-org sweep under the given stream-delivery arm, on one
+ *  thread. Deliberately uninstrumented: scenario 1 prices
+ *  observability, and on a storage-bound single-CPU host the binlog
+ *  writer would dominate the wall clock and bury the stream-delivery
+ *  cost this scenario exists to compare. */
 double
 sweepOnceMs(SweepArm arm)
 {
-    ParallelRunner pool(benchutil::jobsFromEnv());
-    if (arm == SweepArm::Replay)
-        pool.enableSharedTraceCache();
     RunConfig rc = sweepConfig();
-    rc.canonical_live = arm == SweepArm::Canonical;
     WorkloadSpec wl = workloads::byName(pinned_workload);
-    for (L2Kind k : sweep_orgs)
-        pool.submit(Runner::paperConfig(k), wl, rc);
+    ParallelRunner pool(1);
     double t0 = nowSeconds();
-    std::vector<RunResult> results = pool.run();
-    double ms = (nowSeconds() - t0) * 1e3;
-    cnsim_assert(results.size() == num_sweep_orgs, "sweep lost cells");
-    return ms;
+    for (L2Kind k : sweep_orgs) {
+        if (arm == SweepArm::Replay)
+            pool.submit(Runner::paperConfig(k), wl, rc);
+        else
+            (void)Runner::run(Runner::paperConfig(k), wl, rc);
+    }
+    if (arm == SweepArm::Replay) {
+        std::size_t cells = pool.run().size();
+        cnsim_assert(cells == num_sweep_orgs, "sweep lost cells");
+    }
+    return (nowSeconds() - t0) * 1e3;
 }
 
 /**
- * Wall-milliseconds to materialize one canonical stream of the sweep
- * budget (the generation cost a live sweep pays once per cell).
+ * Wall-milliseconds to generate one canonical stream of the sweep
+ * budget (the generation cost the canonical arm pays once per cell).
  */
 double
 generationMs()
@@ -275,15 +268,14 @@ generationMs()
         probe.events_executed /
         static_cast<std::uint64_t>(params.threads.size());
 
-    // Drain the synthetic generator directly, in canonical order, so
-    // the number excludes replay's own encode/decode cost and is
-    // purely "what a live cell pays to make its records".
+    // Drain the synthetic generator directly, per_core canonical
+    // rounds, so the number excludes any delivery cost and is purely
+    // "what a generating cell pays to make its records".
     double t0 = nowSeconds();
     SynthWorkload synth(params);
-    int cores = static_cast<int>(params.threads.size());
+    std::vector<TraceRecord> round(params.threads.size());
     for (std::uint64_t i = 0; i < per_core; ++i)
-        for (int c = 0; c < cores; ++c)
-            (void)synth.source(c).next();
+        synth.drawRound(round);
     return (nowSeconds() - t0) * 1e3;
 }
 
@@ -291,22 +283,18 @@ SweepResult
 measureSweep(int reps)
 {
     SweepResult s;
-    std::vector<double> live_ms, canon_ms, replay_ms;
+    std::vector<double> canon_ms, replay_ms;
     for (int i = 0; i < reps; ++i) {
         // Alternate sides within the rep so host drift cancels.
-        live_ms.push_back(sweepOnceMs(SweepArm::Live));
         canon_ms.push_back(sweepOnceMs(SweepArm::Canonical));
         replay_ms.push_back(sweepOnceMs(SweepArm::Replay));
         std::fprintf(stderr,
-                     "  sweep7 rep %d/%d: live %.0f ms, canonical "
-                     "%.0f ms, replay %.0f ms\n",
-                     i + 1, reps, live_ms.back(), canon_ms.back(),
-                     replay_ms.back());
+                     "  sweep7 rep %d/%d: canonical %.0f ms, replay "
+                     "%.0f ms\n",
+                     i + 1, reps, canon_ms.back(), replay_ms.back());
     }
-    s.live_ms_p50 = percentile(live_ms, 50.0);
     s.canonical_ms_p50 = percentile(canon_ms, 50.0);
     s.replay_ms_p50 = percentile(replay_ms, 50.0);
-    s.live_ms_best = *std::min_element(live_ms.begin(), live_ms.end());
     s.canonical_ms_best =
         *std::min_element(canon_ms.begin(), canon_ms.end());
     s.replay_ms_best =
@@ -316,9 +304,9 @@ measureSweep(int reps)
                     : 0.0;
     double gen_ms = generationMs();
     s.generator_share =
-        s.live_ms_p50 > 0.0
+        s.canonical_ms_p50 > 0.0
             ? static_cast<double>(num_sweep_orgs) * gen_ms /
-                  s.live_ms_p50
+                  s.canonical_ms_p50
             : 0.0;
     std::fprintf(stderr,
                  "  sweep7: one-stream generation %.0f ms "
@@ -486,9 +474,6 @@ main(int argc, char **argv)
                 pinned_workload,
                 static_cast<unsigned long long>(sweep_warmup),
                 static_cast<unsigned long long>(sweep_measure));
-    std::printf("  live      p50 %8.0f ms (best %8.0f, no stream "
-                "contract)\n",
-                sweep.live_ms_p50, sweep.live_ms_best);
     std::printf("  canonical p50 %8.0f ms (best %8.0f)\n",
                 sweep.canonical_ms_p50, sweep.canonical_ms_best);
     std::printf("  replay    p50 %8.0f ms (best %8.0f)\n",
@@ -539,13 +524,10 @@ main(int argc, char **argv)
                  static_cast<unsigned long long>(sweep_warmup));
     std::fprintf(f, "    \"measure\": %llu,\n",
                  static_cast<unsigned long long>(sweep_measure));
-    std::fprintf(f, "    \"live_ms_p50\": %.1f,\n", sweep.live_ms_p50);
     std::fprintf(f, "    \"canonical_ms_p50\": %.1f,\n",
                  sweep.canonical_ms_p50);
     std::fprintf(f, "    \"replay_ms_p50\": %.1f,\n",
                  sweep.replay_ms_p50);
-    std::fprintf(f, "    \"live_ms_best\": %.1f,\n",
-                 sweep.live_ms_best);
     std::fprintf(f, "    \"canonical_ms_best\": %.1f,\n",
                  sweep.canonical_ms_best);
     std::fprintf(f, "    \"replay_ms_best\": %.1f,\n",

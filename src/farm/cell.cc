@@ -39,7 +39,6 @@ putKeyFields(sample::Writer &w, const CellSpec &s)
     w.u64(s.sample_warmup);
     w.u8(s.collect_stats_dump);
     w.u8(s.collect_stats_csv);
-    w.u8(s.trace_mode);
     w.str(s.trace_file);
     w.str(s.ckpt_save);
     w.str(s.ckpt_load);
@@ -200,21 +199,8 @@ buildJob(const CellSpec &spec)
     WorkloadSpec wl =
         workloads::byName(spec.workload, static_cast<int>(spec.cores));
     RunConfig rc = runConfigFor(spec);
-    if (!spec.trace_file.empty()) {
+    if (!spec.trace_file.empty())
         rc.replay = TraceCache::global().acquireFile(spec.trace_file);
-    } else {
-        switch (static_cast<CellTraceMode>(spec.trace_mode)) {
-        case CellTraceMode::Live:
-            break;
-        case CellTraceMode::Materialized:
-            rc.replay = TraceCache::global().acquire(
-                Runner::effectiveSynthParams(wl, rc));
-            break;
-        case CellTraceMode::Canonical:
-            rc.canonical_live = true;
-            break;
-        }
-    }
     return ParallelJob{cfg, wl, rc};
 }
 

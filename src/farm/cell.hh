@@ -43,20 +43,7 @@ namespace farm
  *  results or checkpoint state for an unchanged CellSpec, or the cache
  *  entry format changes; stale cache entries then miss instead of
  *  serving bytes from an older binary. */
-constexpr std::uint32_t farm_format_version = 2;
-
-/** How a cell without a trace file feeds its cores (mirrors the
- *  RunConfig stream modes). */
-enum class CellTraceMode : std::uint8_t
-{
-    /** Per-cell live generation, timing-interleaved draw order. */
-    Live = 0,
-    /** Shared materialized RecordedTrace (positional cursor needed:
-     *  sampling hops, checkpoint save/load). */
-    Materialized = 1,
-    /** Canonical-live generation: replay-identical records, no codec. */
-    Canonical = 2,
-};
+constexpr std::uint32_t farm_format_version = 3;
 
 /** One sweep grid cell; see the file comment. */
 struct CellSpec
@@ -92,11 +79,8 @@ struct CellSpec
     std::uint8_t collect_stats_csv = 0;
 
     // Stream source and checkpoint files.
-    /** Stream mode (CellTraceMode). */
-    std::uint8_t trace_mode =
-        static_cast<std::uint8_t>(CellTraceMode::Canonical);
-    /** Drive the cell from this CNTRF001 file instead of generating its
-     *  workload's stream ("" = generate); overrides trace_mode, and the
+    /** Drive the cell from this CNTRF001 file instead of its
+     *  workload's canonical stream ("" = the workload's stream); the
      *  workload then only labels the cell. */
     std::string trace_file;
     /** Save the post-warm-up machine state here ("" = none). */
@@ -119,16 +103,14 @@ struct CellSpec
 
     /** True when a cached warmed checkpoint may stand in for this
      *  cell's warm-up: its stream is the canonical one ckptKey names
-     *  (a live stream has no positional cursor, and a trace file's
-     *  content is not in the key), it neither saves nor loads a
-     *  checkpoint file of its own, and no observer watches the warm-up
-     *  (the auditor tracks every block from its first access, and
-     *  metrics rows sample the warm-up; a checkpoint restores neither). */
+     *  (a trace file's content is not in the key), it neither saves
+     *  nor loads a checkpoint file of its own, and no observer watches
+     *  the warm-up (the auditor tracks every block from its first
+     *  access, and metrics rows sample the warm-up; a checkpoint
+     *  restores neither). */
     [[nodiscard]] bool sharesWarmState() const
     {
-        return static_cast<CellTraceMode>(trace_mode) !=
-                   CellTraceMode::Live &&
-               trace_file.empty() && ckpt_save.empty() &&
+        return trace_file.empty() && ckpt_save.empty() &&
                ckpt_load.empty() && audit == 0 && metrics_interval == 0;
     }
 };

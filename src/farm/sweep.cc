@@ -36,18 +36,6 @@ runSweep(const std::vector<CellSpec> &cells, const Cache &cache,
         if (cache.enabled() && spec.sharesWarmState()) {
             if (auto blob = cache.loadCkpt(ckptKey(spec))) {
                 job.run_cfg.ckpt_blob_in = std::move(blob);
-                // Resuming repositions the stream cursor past the whole
-                // warm-up, so serve the stream materialized, as
-                // ParallelRunner::needsMaterializedTrace asks: flat-chunk
-                // replay reaches the cursor at raw generator speed and
-                // skips in O(1) per chunk, where canonical-live would
-                // regenerate every skipped record through its reorder
-                // FIFO. The records are the same either way.
-                if (job.run_cfg.canonical_live) {
-                    job.run_cfg.canonical_live = false;
-                    job.run_cfg.replay = Runner::acquireSharedTrace(
-                        job.workload, job.run_cfg);
-                }
                 ++sweep.resumed;
             } else {
                 blob_out = std::make_shared<std::string>();

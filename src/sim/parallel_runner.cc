@@ -25,14 +25,6 @@ ParallelRunner::defaultWorkers()
     return hw ? hw : 1;
 }
 
-bool
-ParallelRunner::needsMaterializedTrace(const RunConfig &run_cfg)
-{
-    return run_cfg.sample_windows > 0 || !run_cfg.ckpt_save.empty() ||
-           !run_cfg.ckpt_load.empty() || run_cfg.ckpt_blob_in != nullptr ||
-           run_cfg.ckpt_blob_out != nullptr;
-}
-
 std::size_t
 ParallelRunner::submit(ParallelJob job)
 {
@@ -58,37 +50,23 @@ ParallelRunner::run()
     if (total == 0)
         return results;
 
-    // Resolve shared stream modes serially, in submission order,
-    // before any worker starts: trace acquisition order is then
-    // deterministic, and the batch holds the trace references for its
-    // whole lifetime (the cache keeps entries alive only while
-    // referenced). Streams shared by at least min_stream_sharers jobs
-    // are materialized once per (workload, seed) and read as flat
-    // chunks; below that the generator does not amortize, so the job
-    // falls back to live generation in canonical order. Jobs that
-    // reposition their stream materialize regardless.
-    if (shared_trace_cache) {
-        std::map<std::uint64_t, unsigned> sharers;
-        for (const ParallelJob &job : batch) {
-            if (job.run_cfg.replay || job.run_cfg.canonical_live)
-                continue;
-            ++sharers[RecordedTrace::hashParams(
-                Runner::effectiveSynthParams(job.workload, job.run_cfg))];
-        }
-        for (ParallelJob &job : batch) {
-            if (job.run_cfg.replay || job.run_cfg.canonical_live)
-                continue;
-            SynthWorkloadParams params =
-                Runner::effectiveSynthParams(job.workload, job.run_cfg);
-            if (needsMaterializedTrace(job.run_cfg) ||
-                sharers[RecordedTrace::hashParams(params)] >=
-                    min_stream_sharers) {
-                job.run_cfg.replay =
-                    Runner::acquireSharedTrace(job.workload, job.run_cfg);
-            } else {
-                job.run_cfg.canonical_live = true;
-            }
-        }
+    // Attach shared streams serially, in submission order, before any
+    // worker starts: acquisition order is then deterministic, and the
+    // batch holds each trace for its whole lifetime (the cache keeps
+    // entries alive only while referenced).
+    auto stream = [](const ParallelJob &job) {
+        return RecordedTrace::hashParams(
+            Runner::effectiveSynthParams(job.workload, job.run_cfg));
+    };
+    std::map<std::uint64_t, unsigned> sharers;
+    for (const ParallelJob &job : batch) {
+        if (!job.run_cfg.replay)
+            ++sharers[stream(job)];
+    }
+    for (ParallelJob &job : batch) {
+        if (!job.run_cfg.replay && sharers[stream(job)] >= min_stream_sharers)
+            job.run_cfg.replay =
+                Runner::acquireSharedTrace(job.workload, job.run_cfg);
     }
 
     // Workers claim jobs by atomic index and write results into the

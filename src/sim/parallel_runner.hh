@@ -91,53 +91,15 @@ class ParallelRunner
     void onProgress(ProgressFn fn) { progress = std::move(fn); }
 
     /**
-     * Drive every job of the batch from one identical canonical
-     * stream per (workload, seed): run() assigns every job lacking an
-     * explicit stream mode either a materialized trace from
-     * TraceCache::global() keyed by the job's effective synthetic
-     * params (trace/replay.hh) or, below the sharing threshold,
-     * canonical-live generation (RunConfig::canonical_live). Both
-     * modes emit positionally identical records, so results are
-     * byte-identical to each other and for any worker count; they
-     * differ from plain live-mode results because the canonical
-     * generation order replaces the timing-dependent one.
-     */
-    void
-    enableSharedTraceCache(bool on = true)
-    {
-        shared_trace_cache = on;
-    }
-
-    /**
-     * Fewest batch jobs sharing one synthetic stream for which run()
-     * materializes that stream instead of falling back to live
-     * (canonical-order) generation. Materializing pays the generator
-     * once plus one flat-chunk read per sharer; live generation pays
-     * the generator per sharer. With the generator at ~2.7% of a
-     * cell's runtime (BENCH_perf.json `generator_share`) and the flat
-     * read at ~0.7%, materializing wins whenever
-     * N * generator_share > generator_share + N * read_share, i.e.
-     * from two sharers up; a lone cell's generator share is below
-     * that break-even, so it falls back to live generation and the
-     * default path never loses to live mode.
-     */
-    static constexpr unsigned min_stream_sharers = 2;
-
-    /**
-     * True when @p run_cfg repositions its trace stream -- sampling's
-     * O(1) chunk hops, checkpoint save/load (file or in-memory blob)
-     * -- and therefore needs a materialized RecordedTrace regardless
-     * of how many jobs share it; canonical-live generation covers
-     * every other cell below the sharing threshold. The policy behind
-     * enableSharedTraceCache's mode choice, shared with the CLI and
-     * the sweep runner.
-     */
-    static bool needsMaterializedTrace(const RunConfig &run_cfg);
-
-    /**
      * Execute every pending job and @return their results in
      * submission order (results[i] belongs to the job submit()
      * returned i for), bit-identical to a serial Runner::run loop.
+     *
+     * Every stream that min_stream_sharers or more jobs without a
+     * RunConfig::replay draw is materialized once (TraceCache) and
+     * held until run() returns; each of those jobs reads it, and each
+     * other job generates its own stream (Runner::run). The records
+     * are the same either way.
      */
     std::vector<RunResult> run();
 
@@ -156,10 +118,21 @@ class ParallelRunner
                                          ProgressFn fn = nullptr);
 
   private:
+    /**
+     * Fewest jobs drawing one stream for which run() materializes it.
+     * Materializing pays the generator once plus one flat-chunk read
+     * per sharer; generating pays the generator per sharer. With the
+     * generator at ~2.7% of a cell's runtime (BENCH_perf.json
+     * `generator_share`) and the flat read at ~0.7%, materializing
+     * wins whenever N * generator_share > generator_share +
+     * N * read_share, i.e. from two sharers up. A lone job's stream is
+     * below that break-even, so it is generated.
+     */
+    static constexpr unsigned min_stream_sharers = 2;
+
     unsigned num_workers;
     std::vector<ParallelJob> jobs;
     ProgressFn progress;
-    bool shared_trace_cache = false;
 };
 
 } // namespace cnsim

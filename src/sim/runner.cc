@@ -21,13 +21,27 @@ namespace cnsim
 namespace
 {
 
-/** Round-robin slice (instructions per core) for functional warming
- * and decode-only skipping. Small enough that live-generated streams
- * keep their cross-thread sharing structure (the synthetic workloads'
- * recently-read/recently-written registries hold only ~100 entries)
- * and that no core's warm touches evict another's before it catches
- * up. */
+/** Round-robin slice (instructions per core) for functional warming.
+ * Small enough that no core's warm touches evict another's before it
+ * catches up. */
 constexpr std::uint64_t warm_slice = 8'192;
+
+/** Functionally warm @p instrs instructions per core at tick @p at, the
+ * cores taking turns in warm_slice slices (approximating the detailed
+ * interleaving) with every resource granting immediately: caches,
+ * coherence and replication state get warm, the clock does not move. */
+void
+warmFunctionally(std::vector<std::unique_ptr<Core>> &cores,
+                 std::uint64_t instrs, Tick at)
+{
+    std::uint64_t warmed = 0;
+    while (warmed < instrs) {
+        std::uint64_t slice = std::min(warm_slice, instrs - warmed);
+        for (auto &core : cores)
+            core->warmAdvance(slice, at);
+        warmed += slice;
+    }
+}
 
 /** Resolved per-window instruction budget of a sampled run. */
 struct SampleBudget
@@ -69,7 +83,7 @@ Runner::runVariability(const SystemConfig &sys_cfg,
     cnsim_assert(runs >= 1, "need at least one run");
 
     // Warm once, measure everywhere: the first repetition runs its
-    // warm-up on its canonical replay stream and captures an in-memory
+    // warm-up on its canonical stream and captures an in-memory
     // checkpoint; every other repetition resumes from that state and
     // replays its own seed-perturbed canonical stream from the same
     // position (streams from one workload family are positionally
@@ -79,9 +93,6 @@ Runner::runVariability(const SystemConfig &sys_cfg,
     auto seeded = [&](int i) {
         RunConfig rc = run_cfg;
         rc.seed = run_cfg.seed + static_cast<std::uint64_t>(i) * 9973;
-        if (!rc.replay)
-            rc.replay = TraceCache::global().acquire(
-                effectiveSynthParams(workload, rc));
         return rc;
     };
 
@@ -195,17 +206,6 @@ Runner::validate(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
         fatal("replay trace has %d cores but the system has %d; "
               "recapture the trace at this core count",
               run_cfg.replay->cores(), sys_cfg.num_cores);
-    if (run_cfg.canonical_live && run_cfg.replay)
-        fatal("canonical-live generation and trace replay are mutually "
-              "exclusive: both define the same stream, pick one");
-    if (!run_cfg.ckpt_save.empty() && !run_cfg.replay)
-        fatal("--ckpt-save requires a replay trace: the checkpoint "
-              "stores a positional stream cursor, which only a "
-              "canonical recorded trace can honor");
-    if (!run_cfg.ckpt_load.empty() && !run_cfg.replay)
-        fatal("--ckpt-load requires a replay trace: the checkpoint "
-              "stores a positional stream cursor, which only a "
-              "canonical recorded trace can honor");
     if (!run_cfg.ckpt_load.empty() && run_cfg.ckpt_blob_in)
         fatal("cannot resume from both a checkpoint file and an "
               "in-memory checkpoint");
@@ -292,27 +292,23 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
         sc.obs.binlog_out = run_cfg.binlog_out;
 
     System system(sc);
-    // Replay runs pull records from the shared pre-materialized trace;
-    // canonical-live runs generate the same stream codec-free; plain
-    // live runs own a fresh generative workload. Either way each core
-    // gets its own TraceSource.
-    std::unique_ptr<SynthWorkload> synth;
+    // One stream, two deliveries: read the trace the caller passed, or
+    // the materialized one some holder keeps live in TraceCache; with
+    // neither, generate the stream here. The records are the same.
+    std::shared_ptr<RecordedTrace> trace = run_cfg.replay;
+    if (!trace)
+        trace = TraceCache::global().find(
+            effectiveSynthParams(workload, run_cfg));
     std::unique_ptr<CanonicalWorkload> canon;
     std::vector<std::unique_ptr<ReplaySource>> replays;
-    if (run_cfg.replay) {
+    if (trace) {
         for (int c = 0; c < sc.num_cores; ++c)
-            replays.emplace_back(std::make_unique<ReplaySource>(
-                *run_cfg.replay, c));
-    } else if (run_cfg.canonical_live) {
-        canon = std::make_unique<CanonicalWorkload>(
-            effectiveSynthParams(workload, run_cfg));
+            replays.emplace_back(std::make_unique<ReplaySource>(*trace, c));
     } else {
-        synth = std::make_unique<SynthWorkload>(
+        canon = std::make_unique<CanonicalWorkload>(
             effectiveSynthParams(workload, run_cfg));
     }
     auto source = [&](int c) -> TraceSource & {
-        if (synth)
-            return synth->source(c);
         if (canon)
             return canon->source(c);
         return *replays[static_cast<std::size_t>(c)];
@@ -389,20 +385,7 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
         system.loadState(rd);
         rd.expectExhausted();
     } else if (sampled) {
-        // Functional warm-up: cores apply their references in
-        // round-robin slices (approximating the detailed interleaving;
-        // the slice must stay small because live-synth cross-thread
-        // sharing registries are tiny) with every resource granting
-        // immediately -- caches, coherence and replication state get
-        // warm, the clock stays at zero.
-        std::uint64_t warmed = 0;
-        while (warmed < run_cfg.warmup_instructions) {
-            std::uint64_t slice = std::min(
-                warm_slice, run_cfg.warmup_instructions - warmed);
-            for (auto &core : cores)
-                core->warmAdvance(slice, eq.now());
-            warmed += slice;
-        }
+        warmFunctionally(cores, run_cfg.warmup_instructions, eq.now());
         for (auto &core : cores)
             core->start(eq);
     } else {
@@ -476,33 +459,13 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
                 system.obsTick(eq.now());
             }
         };
-        auto interleaved = [&](std::uint64_t total, auto &&advance) {
-            std::uint64_t done = 0;
-            while (done < total) {
-                std::uint64_t slice = std::min(warm_slice, total - done);
-                for (auto &core : cores)
-                    advance(*core, slice);
-                done += slice;
-            }
-        };
         for (unsigned w = 0; w < run_cfg.sample_windows; ++w) {
-            if (run_cfg.replay) {
-                // Replayed streams are fully materialized per core, so
-                // the decode-skip needs no cross-core interleaving: one
-                // positional hop per core lets ReplaySource discard
-                // whole chunks without decoding them. Live generation
-                // must stay sliced so the synthetic threads' shared
-                // recency registries advance in lockstep.
-                for (auto &core : cores)
-                    core->skipAdvance(gap);
-            } else {
-                interleaved(gap, [](Core &c, std::uint64_t n) {
-                    c.skipAdvance(n);
-                });
-            }
-            interleaved(b.warm, [&](Core &c, std::uint64_t n) {
-                c.warmAdvance(n, eq.now());
-            });
+            // The stream is canonical, so the order in which cores skip
+            // cannot change its records: each core hops its whole gap at
+            // once, and a ReplaySource discards published chunks unread.
+            for (auto &core : cores)
+                core->skipAdvance(gap);
+            warmFunctionally(cores, b.warm, eq.now());
             run_detailed(b.ramp);
             Tick t0 = eq.now();
             std::vector<std::uint64_t> i0;

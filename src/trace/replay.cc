@@ -229,15 +229,12 @@ RecordedTrace::grow(std::size_t idx)
             chunk->records.reserve(chunk_records);
             pending.push_back(std::move(chunk));
         }
-        // Canonical round-robin interleaving: core 0..N-1, repeat.
-        // This fixed order -- not the simulated timing -- defines the
-        // replayed stream, making it identical across organizations.
+        std::vector<TraceRecord> round(static_cast<std::size_t>(num_cores));
         for (std::uint32_t r = 0; r < chunk_records; ++r) {
-            for (int c = 0; c < num_cores; ++c) {
-                TraceRecord rec = synth->source(c).next();
-                auto ci = static_cast<std::size_t>(c);
-                pending[ci]->instr_total += rec.gap + 1;
-                pending[ci]->records.push_back(rec);
+            synth->drawRound(round);
+            for (std::size_t c = 0; c < round.size(); ++c) {
+                pending[c]->instr_total += round[c].gap + 1;
+                pending[c]->records.push_back(round[c]);
             }
         }
         for (int c = 0; c < num_cores; ++c) {
@@ -462,6 +459,14 @@ TraceCache::publish(const std::string &key,
 }
 
 std::shared_ptr<RecordedTrace>
+TraceCache::find(const SynthWorkloadParams &params)
+{
+    std::string key = serializeParams(params);
+    MutexLock lock(mutex);
+    return lookup(key);
+}
+
+std::shared_ptr<RecordedTrace>
 TraceCache::acquire(const SynthWorkloadParams &params)
 {
     std::string key = serializeParams(params);
@@ -549,9 +554,9 @@ class CanonicalWorkload::CoreSource final : public TraceSource
 };
 
 CanonicalWorkload::CanonicalWorkload(const SynthWorkloadParams &params)
-    : synth(params), num_cores(static_cast<int>(params.threads.size()))
+    : synth(params), round(params.threads.size())
 {
-    for (int c = 0; c < num_cores; ++c)
+    for (std::size_t c = 0; c < round.size(); ++c)
         sources.push_back(std::make_unique<CoreSource>(*this));
 }
 
@@ -566,12 +571,9 @@ CanonicalWorkload::source(int core)
 void
 CanonicalWorkload::drawRound()
 {
-    // Must match RecordedTrace::grow() exactly: this fixed interleaving
-    // -- not the simulated timing -- is what makes the stream identical
-    // across organizations, --jobs values, and replay modes.
-    for (int c = 0; c < num_cores; ++c)
-        sources[static_cast<std::size_t>(c)]->buf.push_back(
-            synth.source(c).next());
+    synth.drawRound(round);
+    for (std::size_t c = 0; c < round.size(); ++c)
+        sources[c]->buf.push_back(round[c]);
 }
 
 } // namespace cnsim

@@ -17,23 +17,22 @@
  * packed read path (bench/perf_gate's sweep scenario) measured the
  * per-record varint decode costing as much as generation itself
  * (~25 ns each on the baseline host), which capped a replay-backed
- * sweep at parity with a live one. A flat TraceRecord array trades
- * ~3x the trace memory (24 B/record vs ~8 B packed, a few MB for the
- * paper budgets) for a decode-free hot path that the hardware
- * prefetcher streams. The varint codec below survives only at the
- * file boundary: CNTRF001 payloads are packed on save and decoded
- * (with validation) once on load.
+ * sweep at parity with regenerating the stream in every cell. A flat
+ * TraceRecord array trades ~3x the trace memory (24 B/record vs ~8 B
+ * packed, a few MB for the paper budgets) for a decode-free hot path
+ * that the hardware prefetcher streams. The varint codec below
+ * survives only at the file boundary: CNTRF001 payloads are packed on
+ * save and decoded (with validation) once on load.
  *
  * Canonical generation order. The synthetic model keeps cross-thread
  * state (the ROS/RWS recently-used registries), so per-core streams
- * depend on the order in which cores draw records. In live mode that
- * order is the simulated interleaving -- which depends on the L2
- * organization's timing, meaning live streams are *not* comparable
- * across organizations. A RecordedTrace instead draws records
- * round-robin (core 0..N-1, repeat), a fixed interleaving independent
- * of any simulator timing. This is the defining semantics of replay
- * mode: one stream, identical for every organization, every --jobs
- * value, and every host.
+ * depend on the order in which cores draw records. The only draw is
+ * SynthWorkload::drawRound, one record per core, core 0..N-1, repeat:
+ * a fixed interleaving independent of any simulator timing. A
+ * RecordedTrace materializes that stream and a CanonicalWorkload
+ * generates it on demand; both call drawRound, so there is one stream,
+ * identical for every organization, every --jobs value, and every
+ * host.
  *
  * Record encoding (the payload CNTRF001 files transport, ~8 B/record
  * for the paper workloads vs 21 B flat):
@@ -275,29 +274,19 @@ class ReplaySource final : public TraceSource
 };
 
 /**
- * Canonical-order live generation: the replay *stream* without the
- * replay *codec*.
+ * The canonical stream generated on demand instead of materialized.
  *
- * Profiling the packed-chunk read path (bench/perf_gate's sweep
- * scenario) showed the varint encode+decode round trip costing more
- * than generation itself on hosts where the generative model is cheap
- * relative to simulation (BENCH_perf.json `generator_share` ~0.18:
- * decode ~5.7 ms/cell vs generation ~4.3 ms/cell on the baseline
- * host), which is how replay-backed sweeps ended up *slower* than
- * live ones (`sweep.speedup` 0.945). What defines replay semantics is
- * not the materialized bytes but the canonical draw order; this class
- * reproduces exactly that order -- one record per core, core 0..N-1,
- * repeat, identical to RecordedTrace::grow() -- straight out of a
- * SynthWorkload, with per-core FIFO buffers absorbing the skew
- * between the fixed generation order and the timing-dependent
- * consumption order. Every record equals the materialized trace's
- * record at the same position, so results are byte-identical to
- * replay mode at zero codec cost.
+ * Each core pops records from its own FIFO; when one runs dry, a
+ * SynthWorkload::drawRound appends one record to every core's FIFO,
+ * so the FIFOs absorb the skew between the fixed draw order and the
+ * timing-dependent consumption order. Every record equals the
+ * materialized trace's record at the same position, so a run's results
+ * do not depend on which of the two delivers its stream.
  *
- * Materialize a RecordedTrace instead when a *positional cursor* is
- * needed (checkpoint save/load, sampling's O(1) chunk hops, trace
- * capture); ParallelRunner::needsMaterializedTrace encodes that
- * policy.
+ * Runner::run generates through this class whenever no materialized
+ * trace of its stream is live: a lone consumer gains nothing from
+ * materializing, because a freshly created trace generates every
+ * record it hands out, skipped ones included, and then holds them.
  *
  * Not thread-safe: one instance drives one run, like SynthWorkload.
  */
@@ -310,7 +299,7 @@ class CanonicalWorkload
     CanonicalWorkload(const CanonicalWorkload &) = delete;
     CanonicalWorkload &operator=(const CanonicalWorkload &) = delete;
 
-    int cores() const { return num_cores; }
+    int cores() const { return static_cast<int>(round.size()); }
 
     /** Trace source driving @p core; emits the canonical stream. */
     TraceSource &source(int core);
@@ -318,11 +307,12 @@ class CanonicalWorkload
   private:
     class CoreSource;
 
-    /** Draw one canonical round: one record per core, core 0..N-1. */
+    /** Draw one canonical round into every core's FIFO. */
     void drawRound();
 
     SynthWorkload synth;
-    int num_cores;
+    /** One round's records, reused by every draw. */
+    std::vector<TraceRecord> round;
     std::vector<std::unique_ptr<CoreSource>> sources;
 };
 
@@ -345,6 +335,11 @@ class TraceCache
      */
     std::shared_ptr<RecordedTrace>
     acquire(const SynthWorkloadParams &params);
+
+    /** The live trace for @p params if some holder keeps one, else
+     *  null; never creates one. */
+    std::shared_ptr<RecordedTrace>
+    find(const SynthWorkloadParams &params);
 
     /**
      * The frozen trace of the CNTRF001 file at @p path, decoded on

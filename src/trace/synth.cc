@@ -50,7 +50,7 @@ SynthWorkload::streamBase(int thread)
 }
 
 /** Per-thread generator implementing the four-stream model. */
-class SynthWorkload::ThreadSource : public TraceSource
+class SynthWorkload::ThreadSource
 {
   public:
     ThreadSource(SynthWorkload &wl, int thread,
@@ -80,7 +80,7 @@ class SynthWorkload::ThreadSource : public TraceSource
     }
 
     TraceRecord
-    next() override
+    next()
     {
         TraceRecord r;
         // Geometric-ish gap with mean mean_gap: uniform over
@@ -291,10 +291,14 @@ SynthWorkload::SynthWorkload(const SynthWorkloadParams &p) : params(p)
 
 SynthWorkload::~SynthWorkload() = default;
 
-TraceSource &
-SynthWorkload::source(int t)
+void
+SynthWorkload::drawRound(std::span<TraceRecord> out)
 {
-    return *sources[t];
+    cnsim_assert(out.size() == sources.size(),
+                 "a round draws one record for each of %zu threads",
+                 sources.size());
+    for (std::size_t t = 0; t < sources.size(); ++t)
+        out[t] = sources[t]->next();
 }
 
 } // namespace cnsim

@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.hh"
@@ -141,8 +142,15 @@ struct SynthWorkloadParams
 
 /**
  * A complete synthetic workload: owns the global cross-thread state
- * (the recently-written RWS registry) and vends one TraceSource per
- * thread.
+ * (the recently-read ROS and recently-written RWS registries) and the
+ * per-thread generators.
+ *
+ * Because the registries are shared, a thread's records depend on the
+ * order in which the threads draw. drawRound() is the only way to
+ * draw, and it fixes that order: one record per thread, thread
+ * 0..N-1, repeat. That canonical round-robin order, never the
+ * simulated timing, defines the workload's stream, so every L2
+ * organization, worker count and host sees the same records.
  */
 class SynthWorkload
 {
@@ -150,8 +158,9 @@ class SynthWorkload
     explicit SynthWorkload(const SynthWorkloadParams &p);
     ~SynthWorkload();
 
-    /** Trace source driving thread @p t. */
-    TraceSource &source(int t);
+    /** Draw one canonical round into @p out (one slot per thread):
+     *  thread 0's next record, then thread 1's, ... then N-1's. */
+    void drawRound(std::span<TraceRecord> out);
 
     /** Region base addresses (for tests). */
     static Addr rosBase() { return 0x10000000ull; }

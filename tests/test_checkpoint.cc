@@ -225,19 +225,45 @@ TEST(Checkpoint, TraceHashCheckRelaxedForInMemorySharing)
     ck.validateConfig(4, 2, 1, ck.trace_params_hash, true, "<memory>");
 }
 
-TEST(CheckpointDeath, SaveRequiresReplayTrace)
+TEST(Checkpoint, GeneratedStreamSaveAndResumeMatchStraightRun)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    SystemConfig cfg = Runner::paperConfig(L2Kind::Shared);
+    // No run here attaches or holds a trace, so each one generates its
+    // stream: saving records each core's consumed-record count, and
+    // resuming skips that many records of a freshly generated stream.
+    SystemConfig cfg = Runner::paperConfig(L2Kind::Nurapid);
     WorkloadSpec wl = workloads::byName("oltp");
+    std::string path = tempPath("generated");
+
     RunConfig rc;
-    rc.ckpt_save = "/tmp/never_written.ckpt";
-    EXPECT_DEATH(Runner::validate(cfg, wl, rc),
-                 "requires a replay trace");
-    rc.ckpt_save.clear();
-    rc.ckpt_load = "/tmp/never_read.ckpt";
-    EXPECT_DEATH(Runner::validate(cfg, wl, rc),
-                 "requires a replay trace");
+    rc.warmup_instructions = 100'000;
+    rc.measure_instructions = 150'000;
+    rc.collect_stats_dump = true;
+    ASSERT_EQ(TraceCache::global().find(
+                  Runner::effectiveSynthParams(wl, rc)),
+              nullptr);
+    RunResult straight = Runner::run(cfg, wl, rc);
+
+    RunConfig save_rc = rc;
+    save_rc.ckpt_save = path;
+    auto blob = std::make_shared<std::string>();
+    save_rc.ckpt_blob_out = blob;
+    RunResult saved = Runner::run(cfg, wl, save_rc);
+    ASSERT_FALSE(blob->empty());
+
+    RunConfig file_rc = rc;
+    file_rc.ckpt_load = path;
+    RunResult from_file = Runner::run(cfg, wl, file_rc);
+
+    RunConfig blob_rc = rc;
+    blob_rc.ckpt_blob_in = blob;
+    RunResult from_blob = Runner::run(cfg, wl, blob_rc);
+
+    EXPECT_EQ(saved.stats_dump, straight.stats_dump);
+    EXPECT_EQ(from_file.stats_dump, straight.stats_dump);
+    EXPECT_EQ(from_blob.stats_dump, straight.stats_dump);
+    EXPECT_DOUBLE_EQ(from_file.ipc, straight.ipc);
+    EXPECT_DOUBLE_EQ(from_blob.ipc, straight.ipc);
+    std::remove(path.c_str());
 }
 
 /**

@@ -134,12 +134,6 @@ TEST(FarmCell, EveryFieldMovesTheCellKey)
          false},
         {"collect_stats_csv", [](S &s) { s.collect_stats_csv = 1; },
          false},
-        {"trace_mode",
-         [](S &s) {
-             s.trace_mode = static_cast<std::uint8_t>(
-                 farm::CellTraceMode::Materialized);
-         },
-         false},
         {"trace_file", [](S &s) { s.trace_file = "oltp.trf"; }, false},
         {"ckpt_save", [](S &s) { s.ckpt_save = "a.ckpt"; }, false},
         {"ckpt_load", [](S &s) { s.ckpt_load = "b.ckpt"; }, false},

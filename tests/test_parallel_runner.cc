@@ -258,14 +258,12 @@ TEST(BenchUtil, GridCacheReturnsIdenticalResults)
     ASSERT_EQ(setenv("CNSIM_MEASURE", "300000", 1), 0);
 
     // Prewarm via the parallel path, then read through the cache; the
-    // cached result must equal a direct serial run. Bench cells run
-    // from the shared canonical trace (benchutil::replayConfig), so
-    // the direct run attaches the same stream.
+    // cached result must equal a direct serial run.
     benchutil::runAll({benchutil::job(L2Kind::Shared, "barnes")});
     RunResult cached = benchutil::run(L2Kind::Shared, "barnes");
-    WorkloadSpec wl = workloads::byName("barnes");
     RunResult direct = Runner::run(Runner::paperConfig(L2Kind::Shared),
-                                   wl, benchutil::replayConfig(wl));
+                                   workloads::byName("barnes"),
+                                   benchutil::runConfig());
     expectIdentical(cached, direct);
 
     unsetenv("CNSIM_WARMUP");

@@ -4,7 +4,9 @@
  * round-trip fuzzing, CNTRF001 file validation (corrupt and truncated
  * inputs must be rejected loudly), wrap semantics, canonical-order
  * determinism including concurrent chunk growth, the process-wide
- * TraceCache, and end-to-end replay equality across worker counts.
+ * TraceCache, end-to-end replay equality across worker counts, and
+ * the stream-sharing rule (which streams a ParallelRunner batch
+ * materializes, and a lone run reading a held trace).
  */
 
 #include <gtest/gtest.h>
@@ -349,7 +351,6 @@ TEST(Replay, RunnerReplayMatchesAcrossWorkerCounts)
 
     auto grid = [&](unsigned workers) {
         ParallelRunner pool(workers);
-        pool.enableSharedTraceCache();
         for (L2Kind k : {L2Kind::Shared, L2Kind::Nurapid,
                          L2Kind::Private}) {
             pool.submit(Runner::paperConfig(k),
@@ -434,12 +435,87 @@ TEST(CanonicalWorkload, RunnerResultsMatchMaterializedReplay)
     WorkloadSpec wl = workloads::byName("oltp", 2);
     SystemConfig cfg =
         Runner::paperConfig(L2Kind::Nurapid, 2, InterconnectKind::Bus);
+    // Nothing holds this stream yet, so the first run generates it.
     RunConfig canon = smallRun();
-    canon.canonical_live = true;
+    ASSERT_EQ(TraceCache::global().find(
+                  Runner::effectiveSynthParams(wl, canon)),
+              nullptr);
+    RunResult generated = Runner::run(cfg, wl, canon);
     RunConfig replay = smallRun();
     replay.replay = Runner::acquireSharedTrace(wl, replay);
-    EXPECT_EQ(farm::serializeResult(Runner::run(cfg, wl, canon)),
+    EXPECT_EQ(farm::serializeResult(generated),
               farm::serializeResult(Runner::run(cfg, wl, replay)));
+}
+
+// ---------------------------------------------------------------------
+// Stream sharing: ParallelRunner materializes a stream only when two or
+// more of its jobs draw it; Runner::run reads a held trace and
+// otherwise generates.
+// ---------------------------------------------------------------------
+
+TEST(StreamSharing, BatchMaterializesOnlySharedStreams)
+{
+    RunConfig rc = smallRun();
+    const std::size_t before = TraceCache::global().liveEntries();
+    ParallelRunner pool(2);
+    pool.submit(Runner::paperConfig(L2Kind::Shared),
+                workloads::byName("oltp"), rc);
+    pool.submit(Runner::paperConfig(L2Kind::Nurapid),
+                workloads::byName("oltp"), rc);
+    pool.submit(Runner::paperConfig(L2Kind::Private),
+                workloads::byName("apache"), rc);
+    // The callback runs under the pool's lock, one job at a time.
+    std::vector<std::size_t> during;
+    pool.onProgress([&](const JobReport &) {
+        during.push_back(TraceCache::global().liveEntries());
+    });
+    pool.run();
+    ASSERT_EQ(during.size(), 3u);
+    for (std::size_t live : during)
+        EXPECT_EQ(live, before + 1);
+    EXPECT_EQ(TraceCache::global().liveEntries(), before);
+}
+
+TEST(StreamSharing, SampledAndResumingLoneCellsMaterializeNothing)
+{
+    SystemConfig cfg = Runner::paperConfig(L2Kind::Nurapid);
+    WorkloadSpec apache = workloads::byName("apache");
+    RunConfig warm = smallRun();
+    warm.ckpt_blob_out = std::make_shared<std::string>();
+    (void)Runner::run(cfg, apache, warm);
+    ASSERT_FALSE(warm.ckpt_blob_out->empty());
+
+    const std::size_t before = TraceCache::global().liveEntries();
+    RunConfig sampled = smallRun();
+    sampled.measure_instructions = 40'000;
+    sampled.sample_windows = 2;
+    RunConfig resumed = smallRun();
+    resumed.ckpt_blob_in = warm.ckpt_blob_out;
+    ParallelRunner pool(2);
+    pool.submit(cfg, workloads::byName("oltp"), sampled);
+    pool.submit(cfg, apache, resumed);
+    std::vector<std::size_t> during;
+    pool.onProgress([&](const JobReport &) {
+        during.push_back(TraceCache::global().liveEntries());
+    });
+    std::vector<RunResult> results = pool.run();
+    ASSERT_EQ(during.size(), 2u);
+    for (std::size_t live : during)
+        EXPECT_EQ(live, before);
+    EXPECT_EQ(TraceCache::global().liveEntries(), before);
+    EXPECT_TRUE(results[0].sampled);
+    EXPECT_GT(results[1].instructions, 0u);
+}
+
+TEST(StreamSharing, LoneRunReadsAHeldTrace)
+{
+    WorkloadSpec wl = workloads::byName("oltp");
+    RunConfig rc = smallRun();
+    std::shared_ptr<RecordedTrace> held =
+        Runner::acquireSharedTrace(wl, rc);
+    const std::uint64_t published = held->recordsPublished(0);
+    (void)Runner::run(Runner::paperConfig(L2Kind::Shared), wl, rc);
+    EXPECT_GT(held->recordsPublished(0), published);
 }
 
 } // namespace

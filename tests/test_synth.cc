@@ -1,6 +1,8 @@
 /**
  * @file
- * Unit tests for the synthetic workload generators.
+ * Unit tests for the synthetic workload generators. Per-thread records
+ * are read through CanonicalWorkload, the canonical round-robin draw
+ * every run uses.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include <set>
 
 #include "common/rng.hh"
+#include "trace/replay.hh"
 #include "trace/synth.hh"
 
 namespace cnsim
@@ -64,7 +67,7 @@ TEST(ReuseDist, MatchesConfiguredFractions)
 
 TEST(Synth, AddressesLandInDeclaredRegions)
 {
-    SynthWorkload wl(basicParams(4));
+    CanonicalWorkload wl(basicParams(4));
     for (int t = 0; t < 4; ++t) {
         for (int i = 0; i < 2000; ++i) {
             TraceRecord r = wl.source(t).next();
@@ -92,7 +95,7 @@ TEST(Synth, PrivateRegionsAreDisjointPerThread)
 
 TEST(Synth, RosAccessesAreAllLoads)
 {
-    SynthWorkload wl(basicParams(1));
+    CanonicalWorkload wl(basicParams(1));
     for (int i = 0; i < 5000; ++i) {
         TraceRecord r = wl.source(0).next();
         if (inRegion(r.addr, SynthWorkload::rosBase(), 512)) {
@@ -106,7 +109,7 @@ TEST(Synth, RwsMixesLoadsAndStores)
     SynthWorkloadParams p = basicParams(2);
     p.threads[0].rws_write_frac = 0.5;
     p.threads[1].rws_write_frac = 0.5;
-    SynthWorkload wl(p);
+    CanonicalWorkload wl(p);
     int loads = 0, stores = 0;
     for (int t = 0; t < 2; ++t) {
         for (int i = 0; i < 5000; ++i) {
@@ -130,7 +133,7 @@ TEST(Synth, RwsReadersConsumeOtherThreadsWrites)
     SynthWorkloadParams p = basicParams(2);
     p.threads[0].rws_write_frac = 0.0;  // pure reader
     p.threads[1].rws_write_frac = 1.0;  // pure writer
-    SynthWorkload wl(p);
+    CanonicalWorkload wl(p);
     std::set<Addr> written;
     int consumed = 0, rws_reads = 0;
     for (int i = 0; i < 20000; ++i) {
@@ -153,7 +156,7 @@ TEST(Synth, GapMeanApproximatesConfig)
 {
     SynthWorkloadParams p = basicParams(1);
     p.threads[0].mean_gap = 3.0;
-    SynthWorkload wl(p);
+    CanonicalWorkload wl(p);
     double sum = 0;
     const int n = 20000;
     for (int i = 0; i < n; ++i)
@@ -163,7 +166,7 @@ TEST(Synth, GapMeanApproximatesConfig)
 
 TEST(Synth, DeterministicForSameSeed)
 {
-    SynthWorkload a(basicParams(2)), b(basicParams(2));
+    CanonicalWorkload a(basicParams(2)), b(basicParams(2));
     for (int i = 0; i < 1000; ++i) {
         TraceRecord ra = a.source(1).next();
         TraceRecord rb = b.source(1).next();
@@ -179,7 +182,7 @@ TEST(Synth, DifferentSeedsDiverge)
     SynthWorkloadParams p1 = basicParams(1);
     SynthWorkloadParams p2 = basicParams(1);
     p2.seed = 1234;
-    SynthWorkload a(p1), b(p2);
+    CanonicalWorkload a(p1), b(p2);
     int same = 0;
     for (int i = 0; i < 200; ++i)
         same += a.source(0).next().addr == b.source(0).next().addr;
@@ -190,7 +193,7 @@ TEST(Synth, UnsharedRegionsSeparateCode)
 {
     SynthWorkloadParams p = basicParams(2);
     p.shared_regions = false;
-    SynthWorkload wl(p);
+    CanonicalWorkload wl(p);
     std::set<Addr> code0, code1;
     for (int i = 0; i < 500; ++i) {
         code0.insert(blockAlign(wl.source(0).next().iaddr, 128));
@@ -205,7 +208,7 @@ TEST(Synth, ZeroSharingFractionsStayPrivate)
     SynthWorkloadParams p = basicParams(1);
     p.threads[0].frac_ros = 0.0;
     p.threads[0].frac_rws = 0.0;
-    SynthWorkload wl(p);
+    CanonicalWorkload wl(p);
     for (int i = 0; i < 3000; ++i) {
         TraceRecord r = wl.source(0).next();
         EXPECT_TRUE(inRegion(r.addr, SynthWorkload::privateBase(0, true),
@@ -219,7 +222,7 @@ TEST(Synth, PrivateStreamSkewConcentratesAccesses)
     p.threads[0].frac_ros = 0.0;
     p.threads[0].frac_rws = 0.0;
     p.threads[0].private_theta = 0.9;
-    SynthWorkload wl(p);
+    CanonicalWorkload wl(p);
     std::map<Addr, int> counts;
     for (int i = 0; i < 20000; ++i)
         ++counts[blockAlign(wl.source(0).next().addr, 128)];

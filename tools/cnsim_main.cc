@@ -94,11 +94,10 @@ usage(const char *argv0)
         "then measure\n"
         "                     (grid sweeps insert <l2>-<workload> before "
         "the\n"
-        "                     extension); implies --replay-cache\n"
+        "                     extension)\n"
         "  --ckpt-load <file> resume from a saved checkpoint instead of "
         "warming up\n"
-        "                     (config- and trace-strict); implies "
-        "--replay-cache\n"
+        "                     (config- and trace-strict)\n"
         "  --no-cr            disable controlled replication (nurapid)\n"
         "  --no-isc           disable in-situ communication (nurapid)\n"
         "  --promotion <p>    fastest|next-fastest|none (nurapid)\n"
@@ -122,28 +121,11 @@ usage(const char *argv0)
         "  --metrics-out <file>    write the metrics time series CSV "
         "here\n"
         "  --audit            run the online coherence-protocol auditor\n"
-        "  --replay-cache     materialize each workload's stream once "
-        "(canonical\n"
-        "                     order) and replay it across every grid "
-        "cell;\n"
-        "                     multi-cell grids default to generating "
-        "the same\n"
-        "                     canonical stream live per cell (identical "
-        "records,\n"
-        "                     no decode cost) and materialize only when "
-        "a\n"
-        "                     positional cursor is needed (sampling, "
-        "checkpoints,\n"
-        "                     capture)\n"
-        "  --no-replay-cache  regenerate the stream live per cell "
-        "(timing-\n"
-        "                     interleaved order)\n"
-        "  --trace-capture <file>  save the replayed stream(s) as "
+        "  --trace-capture <file>  save the consumed stream(s) as "
         "CNTRF001 (grids\n"
         "                     with several workloads insert the "
         "workload name\n"
-        "                     before the extension); implies "
-        "--replay-cache\n"
+        "                     before the extension)\n"
         "  --trace-replay <file>   drive every cell from a captured "
         "CNTRF001 trace\n"
         "                     (single workload name for labeling only)"
@@ -251,7 +233,6 @@ main(int argc, char **argv)
     std::string ckpt_save_path;
     std::string ckpt_load_path;
     std::string trace_capture_path;
-    int replay_cache = -1;  // -1 auto, 0 off, 1 on
     std::string stats_csv_path;
     std::string trace_out;
     std::string binlog_out;
@@ -341,10 +322,6 @@ main(int argc, char **argv)
             trace_capture_path = next();
         } else if (a == "--trace-replay") {
             base.trace_file = next();
-        } else if (a == "--replay-cache") {
-            replay_cache = 1;
-        } else if (a == "--no-replay-cache") {
-            replay_cache = 0;
         } else if (a == "--list") {
             std::printf("workloads (Table 3): ");
             for (const auto &w : workloads::multithreadedNames())
@@ -371,11 +348,6 @@ main(int argc, char **argv)
     if (!metrics_out.empty() && base.metrics_interval == 0)
         base.metrics_interval = 100'000;
 
-    const bool ckpt =
-        !ckpt_save_path.empty() || !ckpt_load_path.empty();
-    if (ckpt && replay_cache == 0)
-        fatal("checkpoints store a positional stream cursor and need "
-              "the replay cache; drop --no-replay-cache");
     if (!ckpt_save_path.empty() && !ckpt_load_path.empty())
         fatal("--ckpt-save and --ckpt-load are mutually exclusive");
     if (!trace_capture_path.empty() && !base.trace_file.empty())
@@ -396,36 +368,6 @@ main(int argc, char **argv)
     if (!base.trace_file.empty() && wl_list.size() > 1)
         fatal("--trace-replay drives a single workload (got %zu)",
               wl_list.size());
-
-    // Stream-sharing policy. Multi-cell grids default to the canonical
-    // stream -- byte-identical records in every cell. Grids where at
-    // least ParallelRunner::min_stream_sharers cells share a
-    // workload's stream materialize it once (the generator amortizes
-    // and cells read flat chunks); below that threshold the stream is
-    // served by regeneration (canonical-live), which is cheaper than
-    // materialize-then-read for a lone consumer. A materialized
-    // RecordedTrace is also forced whenever something needs its
-    // positional cursor: sampling hops, checkpoints, capture, or an
-    // explicit --replay-cache. --no-replay-cache restores plain live
-    // per-cell generation (timing-interleaved stream order).
-    const bool auto_shared = replay_cache == -1 && multi && !ckpt &&
-                             trace_capture_path.empty();
-    const bool use_replay_cache =
-        replay_cache == 1 || ckpt ||
-        (!trace_capture_path.empty() && replay_cache != 0) ||
-        (auto_shared &&
-         (base.sample_windows > 0 ||
-          kind_list.size() >= ParallelRunner::min_stream_sharers));
-    const bool use_canonical = auto_shared && base.sample_windows == 0 &&
-                               base.trace_file.empty() &&
-                               !use_replay_cache;
-    if (!trace_capture_path.empty() && !use_replay_cache)
-        fatal("--trace-capture needs the replay cache; drop "
-              "--no-replay-cache");
-    base.trace_mode = static_cast<std::uint8_t>(
-        use_replay_cache ? farm::CellTraceMode::Materialized
-        : use_canonical  ? farm::CellTraceMode::Canonical
-                         : farm::CellTraceMode::Live);
 
     // A replayed trace file is decoded once: every cell's buildJob
     // acquires this same instance while the handle lives.
@@ -464,15 +406,18 @@ main(int argc, char **argv)
     }
 
     // Capture saves exactly the stream prefix the grid consumed, so hold
-    // each workload's materialized trace until the sweep is done. The
-    // grid's first row has one cell per workload, and its buildJob
-    // acquires the instance every cell of that workload shares.
+    // each workload's materialized trace until the sweep is done: every
+    // cell of that workload, shared or not, reads this instance. The
+    // grid's first row has one cell per workload.
     std::vector<std::pair<std::string, std::shared_ptr<RecordedTrace>>>
         captured;
-    if (!trace_capture_path.empty())
-        for (std::size_t i = 0; i < wl_list.size(); ++i)
-            captured.emplace_back(wl_list[i],
-                                  farm::buildJob(cells[i]).run_cfg.replay);
+    if (!trace_capture_path.empty()) {
+        for (std::size_t i = 0; i < wl_list.size(); ++i) {
+            ParallelJob job = farm::buildJob(cells[i]);
+            captured.emplace_back(wl_list[i], Runner::acquireSharedTrace(
+                                                  job.workload, job.run_cfg));
+        }
+    }
 
     const farm::Cache cache(cache_dir);
     const std::vector<RunResult> results =
