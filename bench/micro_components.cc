@@ -19,6 +19,7 @@
 #include "mem/bus.hh"
 #include "mem/memory.hh"
 #include "nurapid/cmp_nurapid.hh"
+#include "obs/binlog.hh"
 #include "obs/trace_sink.hh"
 #include "sim/event_queue.hh"
 #include "trace/workloads.hh"
@@ -175,12 +176,13 @@ BM_NurapidAccessTracingOn(benchmark::State &state)
     SnoopBus bus;
     CmpNurapid l2(NurapidParams{}, bus, mem);
     l2.setL1Hooks([](CoreId, Addr) {}, [](CoreId, Addr, bool) {});
-    obs::ObsParams op;
-    op.trace = true;
-    op.max_events = 1'000'000;
-    obs::TraceSink sink(op);
-    sink.armRecording();
+    // Armed with a binlog, as a --binlog-out run's measurement epoch.
+    obs::TraceSink sink;
+    obs::BinlogWriter binlog("/dev/null");
+    sink.setBinlog(&binlog);
     l2.setTraceSink(&sink);
+    binlog.begin(sink.components(), {});
+    sink.armRecording();
     Rng rng(4);
     Tick t = 0;
     for (auto _ : state) {

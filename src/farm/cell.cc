@@ -26,8 +26,6 @@ putKeyFields(sample::Writer &w, const CellSpec &s)
     w.u32(s.tag_factor);
     w.u8(s.audit);
     w.u64(s.metrics_interval);
-    w.str(s.trace_out);
-    w.u8(s.trace_format);
     w.str(s.binlog_out);
     w.str(s.workload);
     w.u64(s.warmup);
@@ -59,8 +57,6 @@ runConfigFor(const CellSpec &s)
     rc.sample_warmup = s.sample_warmup;
     rc.collect_stats_dump = s.collect_stats_dump != 0;
     rc.collect_stats_csv = s.collect_stats_csv != 0;
-    rc.trace_out = s.trace_out;
-    rc.trace_format = static_cast<obs::TraceFormat>(s.trace_format);
     rc.binlog_out = s.binlog_out;
     rc.ckpt_save = s.ckpt_save;
     rc.ckpt_load = s.ckpt_load;
@@ -235,7 +231,6 @@ serializeResult(const RunResult &r)
     w.str(r.stats_csv);
     w.str(r.metrics_csv);
     w.u64(r.trace_events);
-    w.u64(r.trace_dropped);
     w.u64(r.audited_transitions);
     return w.take();
 }
@@ -272,7 +267,6 @@ deserializeResult(const std::string &bytes, const std::string &what)
     r.stats_csv = rd.str();
     r.metrics_csv = rd.str();
     r.trace_events = rd.u64();
-    r.trace_dropped = rd.u64();
     r.audited_transitions = rd.u64();
     rd.expectExhausted();
     return r;

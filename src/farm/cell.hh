@@ -43,7 +43,7 @@ namespace farm
  *  results or checkpoint state for an unchanged CellSpec, or the cache
  *  entry format changes; stale cache entries then miss instead of
  *  serving bytes from an older binary. */
-constexpr std::uint32_t farm_format_version = 3;
+constexpr std::uint32_t farm_format_version = 4;
 
 /** One sweep grid cell; see the file comment. */
 struct CellSpec
@@ -60,8 +60,6 @@ struct CellSpec
     // Observability.
     std::uint8_t audit = 0;
     std::uint64_t metrics_interval = 0;
-    std::string trace_out;
-    std::uint8_t trace_format = 0;
     std::string binlog_out;
 
     // Workload and budgets.
@@ -96,9 +94,8 @@ struct CellSpec
      *  cannot see. */
     [[nodiscard]] bool cacheable() const
     {
-        return trace_out.empty() && binlog_out.empty() &&
-               trace_file.empty() && ckpt_save.empty() &&
-               ckpt_load.empty();
+        return binlog_out.empty() && trace_file.empty() &&
+               ckpt_save.empty() && ckpt_load.empty();
     }
 
     /** True when a cached warmed checkpoint may stand in for this

@@ -89,7 +89,7 @@ class ProtocolAuditor
     ProtocolAuditor(AuditProtocol proto, int num_cores,
                     std::size_t history_depth = 16);
 
-    /** TraceSink listener entry point. */
+    /** Check one event; TraceSink::record calls this for every event. */
     void onEvent(const TraceEvent &ev);
 
     /**

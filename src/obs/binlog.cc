@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstring>
+#include <set>
 
 #include "common/logging.hh"
 
@@ -18,6 +19,41 @@ namespace
 constexpr char binlog_magic[8] = {'C', 'N', 'B', 'L', 'G', '0', '0', '1'};
 constexpr char binlog_trailer[8] = {'C', 'N', 'B', 'L', 'G', 'E', 'N', 'D'};
 constexpr std::size_t binlog_trailer_bytes = 24;
+
+/** Binlog paths currently open for writing, process-wide. */
+struct OpenPaths
+{
+    Mutex mu;
+    std::set<std::string> paths CNSIM_GUARDED_BY(mu);
+};
+
+OpenPaths &
+openPaths()
+{
+    static OpenPaths r;
+    return r;
+}
+
+/** Claim @p path for one writer; fatal() if another holds it. */
+void
+claimPath(const std::string &path)
+{
+    OpenPaths &r = openPaths();
+    MutexLock lock(r.mu);
+    if (!r.paths.insert(path).second)
+        fatal("two binlog writers share '%s': give each run its own "
+              "binlog_out file",
+              path.c_str());
+}
+
+/** Release a path claimPath() took. */
+void
+releasePath(const std::string &path)
+{
+    OpenPaths &r = openPaths();
+    MutexLock lock(r.mu);
+    r.paths.erase(path);
+}
 
 // Little-endian memory codecs. Records are encoded/decoded in batches
 // through memory buffers so the writer thread issues one fwrite per
@@ -247,6 +283,7 @@ BinlogWriter::begin(const std::vector<std::string> &components,
                     const std::vector<std::string> &metrics)
 {
     cnsim_assert(!begun, "binlog '%s' begun twice", out_path.c_str());
+    claimPath(out_path);
     file = std::fopen(out_path.c_str(), "wb");
     if (!file)
         fatal("cannot open binlog output '%s'", out_path.c_str());
@@ -355,7 +392,7 @@ BinlogWriter::writerMain()
 }
 
 void
-BinlogWriter::finish(std::uint64_t capture_dropped)
+BinlogWriter::finish()
 {
     if (!begun || finished)
         return;
@@ -373,11 +410,12 @@ BinlogWriter::finish(std::uint64_t capture_dropped)
     unsigned char u64[8];
     enc64(u64, n_appended);
     std::fwrite(u64, 1, 8, file);
-    enc64(u64, capture_dropped);
+    enc64(u64, 0);
     std::fwrite(u64, 1, 8, file);
     std::fclose(file);
     file = nullptr;
     finished = true;
+    releasePath(out_path);
 }
 
 bool

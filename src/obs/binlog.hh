@@ -32,6 +32,9 @@
  *   BinRecord * n  (binlog_record_wire_bytes each)
  *   "CNBLGEND" u64 n_records u64 n_dropped        24-byte trailer
  *
+ * n_dropped is always written as 0: nothing on the capture side drops
+ * events. Readers still surface a non-zero value.
+ *
  * The trailer makes truncation detectable: a reader seeks it from the
  * end of the file and rejects streams whose payload size or record
  * count disagrees with it.
@@ -197,6 +200,11 @@ class SpscRing
  * a background writer thread. One writer per System; begin() is
  * called at the measurement epoch (component and metric registration
  * is complete by then), finish() at the end of the run.
+ *
+ * A writer owns its path from begin() to finish(), process-wide: two
+ * parallel runs given the same binlog_out would otherwise truncate and
+ * interleave one file silently, so a second begin() on a path that is
+ * still open is fatal().
  */
 class BinlogWriter
 {
@@ -211,10 +219,10 @@ class BinlogWriter
     BinlogWriter &operator=(const BinlogWriter &) = delete;
 
     /**
-     * Open the file, write the header (message registry + component +
-     * metric tables), and start the writer thread. The header is
-     * written synchronously on the calling thread, so the tables must
-     * be final.
+     * Claim the path, open the file, write the header (message
+     * registry + component + metric tables), and start the writer
+     * thread. The header is written synchronously on the calling
+     * thread, so the tables must be final.
      */
     void begin(const std::vector<std::string> &components,
                const std::vector<std::string> &metrics);
@@ -230,12 +238,10 @@ class BinlogWriter
                       double value);
 
     /**
-     * Stop the writer thread, drain the ring, and write the trailer.
-     * @p capture_dropped records how many events the capture side
-     * dropped before they reached the binlog (the TraceSink's vector
-     * cap; the binlog itself never drops). Idempotent.
+     * Stop the writer thread, drain the ring, write the trailer, and
+     * release the path. Idempotent.
      */
-    void finish(std::uint64_t capture_dropped = 0);
+    void finish();
 
     /** Records appended so far (producer-side count). */
     std::uint64_t records() const { return n_appended; }
@@ -280,7 +286,8 @@ struct BinlogData
     std::vector<std::string> components;
     std::vector<std::string> metrics;
     std::vector<BinRecord> records;
-    /** Capture-side drops recorded in the trailer. */
+    /** Drop count recorded in the trailer (0 in every file this
+     *  writer produces). */
     std::uint64_t dropped = 0;
 };
 

@@ -4,10 +4,9 @@
  *
  * Every record a component emits into the TraceSink is one TraceEvent:
  * a fixed-size POD tagged with an EventKind. Field meaning depends on
- * the kind (see the per-kind comments below); the layout is chosen so a
- * record serializes to 40 bytes with no padding ambiguity and carries
- * no wall-clock state, keeping traces bit-identical across
- * ParallelRunner worker counts.
+ * the kind (see the per-kind comments below). A record carries no
+ * wall-clock state, keeping logs bit-identical across ParallelRunner
+ * worker counts; the binlog serializes it as one BinRecord.
  */
 
 #ifndef CNSIM_OBS_EVENT_HH
@@ -106,9 +105,6 @@ struct TraceEvent
     std::uint8_t b = 0;
     std::uint8_t c = 0;
 };
-
-/** Serialized size of one TraceEvent in the binary format. */
-constexpr std::size_t trace_event_wire_bytes = 40;
 
 /** Human-readable name for an EventKind. */
 inline const char *

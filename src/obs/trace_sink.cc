@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <map>
-#include <set>
 
 #include "common/logging.hh"
-#include "common/thread_annotations.hh"
+#include "obs/auditor.hh"
 #include "obs/binlog.hh"
 
 namespace cnsim
@@ -18,123 +16,6 @@ namespace obs
 
 namespace
 {
-
-/**
- * Export targets currently being written, process-wide. Two parallel
- * sweep workers pointed at the same --trace-out path would otherwise
- * interleave writes and corrupt the file silently; claiming the path
- * for the duration of the export turns that misconfiguration into a
- * loud fatal().
- */
-struct ExportRegistry
-{
-    Mutex mu;
-    std::set<std::string> active CNSIM_GUARDED_BY(mu);
-};
-
-ExportRegistry &
-exportRegistry()
-{
-    static ExportRegistry r;
-    return r;
-}
-
-/** RAII claim of one export path; fatal() on a concurrent duplicate. */
-class ExportPathClaim
-{
-  public:
-    explicit ExportPathClaim(std::string p) : path(std::move(p))
-    {
-        ExportRegistry &r = exportRegistry();
-        MutexLock lock(r.mu);
-        if (!r.active.insert(path).second)
-            fatal("concurrent trace export to '%s': two runs share one "
-                  "output path; give each job its own file",
-                  path.c_str());
-    }
-
-    ~ExportPathClaim()
-    {
-        ExportRegistry &r = exportRegistry();
-        MutexLock lock(r.mu);
-        r.active.erase(path);
-    }
-
-    ExportPathClaim(const ExportPathClaim &) = delete;
-    ExportPathClaim &operator=(const ExportPathClaim &) = delete;
-
-  private:
-    const std::string path;
-};
-
-// Little-endian field-by-field serialization: the in-memory struct has
-// padding, and a raw fwrite of it would not be portable or stable.
-
-void
-put64(std::FILE *f, std::uint64_t v)
-{
-    unsigned char b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<unsigned char>(v >> (8 * i));
-    std::fwrite(b, 1, 8, f);
-}
-
-void
-put32(std::FILE *f, std::uint32_t v)
-{
-    unsigned char b[4];
-    for (int i = 0; i < 4; ++i)
-        b[i] = static_cast<unsigned char>(v >> (8 * i));
-    std::fwrite(b, 1, 4, f);
-}
-
-void
-put16(std::FILE *f, std::uint16_t v)
-{
-    unsigned char b[2] = {static_cast<unsigned char>(v),
-                          static_cast<unsigned char>(v >> 8)};
-    std::fwrite(b, 1, 2, f);
-}
-
-bool
-get64(std::FILE *f, std::uint64_t &v)
-{
-    unsigned char b[8];
-    if (std::fread(b, 1, 8, f) != 8)
-        return false;
-    v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | b[i];
-    return true;
-}
-
-bool
-get32(std::FILE *f, std::uint32_t &v)
-{
-    unsigned char b[4];
-    if (std::fread(b, 1, 4, f) != 4)
-        return false;
-    v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | b[i];
-    return true;
-}
-
-bool
-get16(std::FILE *f, std::uint16_t &v)
-{
-    unsigned char b[2];
-    if (std::fread(b, 1, 2, f) != 2)
-        return false;
-    v = static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-    return true;
-}
-
-// CNTRC002 widened dur to 64 bits and added the capture-side drop
-// count to the header; CNTRC001 files (32-bit dur, no drop count) are
-// still readable.
-constexpr char binary_magic[8] = {'C', 'N', 'T', 'R', 'C', '0', '0', '2'};
-constexpr char binary_magic_v1[8] = {'C', 'N', 'T', 'R', 'C', '0', '0', '1'};
 
 /** Short label for one event, used as the Chrome event name. */
 std::string
@@ -162,12 +43,7 @@ eventName(const TraceEvent &ev)
 
 } // namespace
 
-TraceSink::TraceSink(const ObsParams &p)
-    : params(p), store_enabled(p.trace)
-{
-    if (store_enabled)
-        store.reserve(4096);
-}
+TraceSink::TraceSink(const ObsParams &p) : params(p) {}
 
 int
 TraceSink::registerComponent(const std::string &path)
@@ -184,178 +60,16 @@ void
 TraceSink::record(const TraceEvent &ev)
 {
     last_tick = ev.tick;
-    if (listener)
-        listener(ev);
-    if (!armed)
-        return;
-    if (binlog)
+    if (auditor)
+        auditor->onEvent(ev);
+    if (armed && binlog)
         binlog->append(ev);
-    if (!store_enabled)
-        return;
-    if (store.size() >= params.max_events) {
-        if (n_dropped == 0)
-            warn("trace sink full (%zu events); dropping further events",
-                 store.size());
-        ++n_dropped;
-        return;
-    }
-    store.push_back(ev);
-    ++kind_counts[static_cast<int>(ev.kind)];
 }
 
 std::uint64_t
 TraceSink::recordedEvents() const
 {
-    return binlog ? binlog->records()
-                  : static_cast<std::uint64_t>(store.size());
-}
-
-void
-TraceSink::exportChromeJson(const std::string &path) const
-{
-    if (n_dropped)
-        warn("trace export '%s' is incomplete: %" PRIu64
-             " events were dropped past the %zu-event cap",
-             path.c_str(), n_dropped, params.max_events);
-    ExportPathClaim claim(path);
-    writeChromeJson(path, store, comps, n_dropped);
-}
-
-void
-TraceSink::exportBinary(const std::string &path) const
-{
-    if (n_dropped)
-        warn("trace export '%s' is incomplete: %" PRIu64
-             " events were dropped past the %zu-event cap",
-             path.c_str(), n_dropped, params.max_events);
-    ExportPathClaim claim(path);
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        fatal("cannot open trace output '%s'", path.c_str());
-    std::fwrite(binary_magic, 1, sizeof(binary_magic), f);
-    put32(f, static_cast<std::uint32_t>(comps.size()));
-    for (const auto &c : comps) {
-        put32(f, static_cast<std::uint32_t>(c.size()));
-        std::fwrite(c.data(), 1, c.size(), f);
-    }
-    put64(f, n_dropped);
-    put64(f, static_cast<std::uint64_t>(store.size()));
-    for (const TraceEvent &ev : store) {
-        put64(f, static_cast<std::uint64_t>(ev.tick));
-        put64(f, static_cast<std::uint64_t>(ev.addr));
-        put64(f, ev.arg);
-        put64(f, ev.dur);
-        put16(f, static_cast<std::uint16_t>(ev.component));
-        put16(f, static_cast<std::uint16_t>(ev.core));
-        unsigned char tail[4] = {static_cast<unsigned char>(ev.kind),
-                                 ev.a, ev.b, ev.c};
-        std::fwrite(tail, 1, 4, f);
-    }
-    std::fclose(f);
-}
-
-void
-TraceSink::exportTo(const std::string &path, TraceFormat format) const
-{
-    if (format == TraceFormat::Binary)
-        exportBinary(path);
-    else
-        exportChromeJson(path);
-}
-
-bool
-TraceSink::readBinary(const std::string &path, std::vector<TraceEvent> &out,
-                      std::vector<std::string> &components,
-                      std::string *error, std::uint64_t *dropped)
-{
-    auto fail = [&](const std::string &msg) {
-        if (error)
-            *error = msg;
-        return false;
-    };
-    if (dropped)
-        *dropped = 0;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return fail("cannot open '" + path + "'");
-    char magic[8];
-    if (std::fread(magic, 1, 8, f) != 8) {
-        std::fclose(f);
-        return fail("'" + path + "' is not a cnsim binary trace");
-    }
-    bool legacy = std::memcmp(magic, binary_magic_v1, 8) == 0;
-    if (!legacy && std::memcmp(magic, binary_magic, 8) != 0) {
-        std::fclose(f);
-        return fail("'" + path + "' is not a cnsim binary trace");
-    }
-    std::uint32_t ncomps = 0;
-    if (!get32(f, ncomps) || ncomps > 65536) {
-        std::fclose(f);
-        return fail("corrupt component table");
-    }
-    components.clear();
-    for (std::uint32_t i = 0; i < ncomps; ++i) {
-        std::uint32_t len = 0;
-        if (!get32(f, len) || len > 4096) {
-            std::fclose(f);
-            return fail("corrupt component name");
-        }
-        std::string name(len, '\0');
-        if (len && std::fread(name.data(), 1, len, f) != len) {
-            std::fclose(f);
-            return fail("truncated component name");
-        }
-        components.push_back(std::move(name));
-    }
-    if (!legacy) {
-        std::uint64_t n_drop = 0;
-        if (!get64(f, n_drop)) {
-            std::fclose(f);
-            return fail("truncated drop count");
-        }
-        if (dropped)
-            *dropped = n_drop;
-    }
-    std::uint64_t count = 0;
-    if (!get64(f, count)) {
-        std::fclose(f);
-        return fail("truncated event count");
-    }
-    out.clear();
-    out.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        TraceEvent ev;
-        std::uint64_t tick, addr;
-        std::uint32_t dur32 = 0;
-        std::uint16_t comp, core;
-        unsigned char tail[4];
-        bool ok = get64(f, tick) && get64(f, addr) && get64(f, ev.arg);
-        if (ok) {
-            if (legacy) {
-                ok = get32(f, dur32);
-                ev.dur = dur32;
-            } else {
-                ok = get64(f, ev.dur);
-            }
-        }
-        if (!ok || !get16(f, comp) || !get16(f, core) ||
-            std::fread(tail, 1, 4, f) != 4) {
-            std::fclose(f);
-            return fail(strfmt("truncated event %" PRIu64 " of %" PRIu64,
-                               i, count));
-        }
-        ev.tick = static_cast<Tick>(tick);
-        ev.addr = static_cast<Addr>(addr);
-        ev.component = static_cast<std::int16_t>(comp);
-        ev.core = static_cast<std::int16_t>(core);
-        ev.kind = static_cast<EventKind>(tail[0]);
-        ev.a = tail[1];
-        ev.b = tail[2];
-        ev.c = tail[3];
-        out.push_back(ev);
-    }
-    std::fclose(f);
-    return true;
+    return binlog ? binlog->records() : 0;
 }
 
 void
@@ -531,7 +245,7 @@ summarize(const std::vector<TraceEvent> &events,
                     static_cast<std::uint64_t>(hi));
     if (dropped)
         s += strfmt("\nWARNING: incomplete capture -- %" PRIu64
-                    " events dropped past the max_events cap",
+                    " events dropped before they reached the log",
                     dropped);
     s += "\n\nby kind:\n";
     for (int k = 0; k < num_event_kinds; ++k) {

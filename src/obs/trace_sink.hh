@@ -5,34 +5,26 @@
  * Components hold a `TraceSink *` that is null unless observability is
  * enabled for the run, so the disabled hot path is a single
  * branch-predictable pointer test. When enabled, typed emit helpers
- * build a TraceEvent and hand it to record(), which forwards it to an
- * optional listener (the protocol auditor) and stores it once
- * recording is armed (at the measurement epoch, so stored event counts
- * line up with post-reset statistics counters).
+ * build a TraceEvent and hand it to record(), which passes it to the
+ * protocol auditor (when one is attached) and, once recording is armed
+ * at the measurement epoch, to the CNBLG01 binlog, so logged event
+ * counts line up with post-reset statistics counters.
  *
  * The sink is owned by one System and never shared: the ParallelRunner
  * determinism contract holds because no process-global state is
  * involved and no event carries wall-clock data.
  *
- * Exporters: Chrome `trace_event` JSON (one track per registered
- * component; loadable in chrome://tracing or Perfetto) and a compact
- * binary format readable by tools/cntrace and readBinary().
- *
- * When a BinlogWriter is attached (--binlog-out), armed events are
- * streamed to the CNBLG01 binary log instead of (or in addition to)
- * the in-memory store: the hot path is then one fixed-size record
- * pushed onto a lock-free ring, with all formatting offline in
- * tools/cntrace (DESIGN.md 3j).
+ * The sink stores nothing: the binlog's hot path is one fixed-size
+ * record pushed onto a lock-free ring, and every rendering -- text,
+ * summaries, Chrome trace_event JSON -- happens offline in
+ * tools/cntrace through the formatters declared below (DESIGN.md 3j).
  */
 
 #ifndef CNSIM_OBS_TRACE_SINK_HH
 #define CNSIM_OBS_TRACE_SINK_HH
 
-#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cache/coh_state.hh"
@@ -46,27 +38,17 @@ namespace obs
 {
 
 class BinlogWriter;
-
-/** Trace export formats selectable from the CLI. */
-enum class TraceFormat
-{
-    ChromeJson,  //!< chrome://tracing / Perfetto JSON
-    Binary,      //!< compact binary, inspect with tools/cntrace
-};
+class ProtocolAuditor;
 
 /** Per-System observability configuration. */
 struct ObsParams
 {
-    /** Record events for export (armed at the measurement epoch). */
-    bool trace = false;
     /** Attach the online protocol auditor to the transition stream. */
     bool audit = false;
     /** Ticks between metrics snapshots; 0 disables the registry. */
     Tick metrics_interval = 0;
     /** Stream events + metrics to this CNBLG01 file; "" disables. */
     std::string binlog_out;
-    /** Stop storing (but keep listening) past this many events. */
-    std::size_t max_events = 4'000'000;
     /** Minimum stall, in ticks, for a core to emit a CoreStall event. */
     Tick core_stall_threshold = 8;
 };
@@ -88,22 +70,22 @@ class TraceSink
     const std::vector<std::string> &components() const { return comps; }
 
     /** @return true if record() currently does any work. */
-    bool active() const { return armed || listener != nullptr; }
+    bool active() const { return armed || auditor != nullptr; }
 
-    /** Start recording events (called at the measurement epoch). */
-    void armRecording() { armed = store_enabled || binlog != nullptr; }
+    /** Start logging events (called at the measurement epoch). */
+    void armRecording() { armed = binlog != nullptr; }
 
-    /** Stop storing events; the listener keeps seeing them. */
+    /** Stop logging events; the auditor keeps seeing them. */
     void disarmRecording() { armed = false; }
 
-    /** @return true if events are currently being stored. */
+    /** @return true if events are currently being logged. */
     bool recording() const { return armed; }
 
-    /** Subscribe @p fn to every emitted event (auditor hook). */
-    void setListener(std::function<void(const TraceEvent &)> fn)
-    {
-        listener = std::move(fn);
-    }
+    /**
+     * Pass every emitted event, armed or not, to @p a (not owned; must
+     * outlive the sink or be detached with nullptr).
+     */
+    void setAuditor(ProtocolAuditor *a) { auditor = a; }
 
     /**
      * Stream armed events to @p w (not owned; must outlive the sink
@@ -112,7 +94,7 @@ class TraceSink
      */
     void setBinlog(BinlogWriter *w) { binlog = w; }
 
-    /** Dispatch one event to the listener and the store. */
+    /** Dispatch one event to the auditor and, when armed, the binlog. */
     void record(const TraceEvent &ev);
 
     /** Last tick seen by record(); for emitters outside the timed path. */
@@ -248,68 +230,26 @@ class TraceSink
     /** Minimum stall, in ticks, for cores to emit CoreStall events. */
     Tick stallThreshold() const { return params.core_stall_threshold; }
 
-    /** @return all stored events, in emission order. */
-    const std::vector<TraceEvent> &events() const { return store; }
+    /** @return 0: the sink drops no event. */
+    std::uint64_t dropped() const { return 0; }
 
-    /** @return events dropped after the max_events cap was hit. */
-    std::uint64_t dropped() const { return n_dropped; }
-
-    /**
-     * @return events recorded for the run: the binlog stream count
-     *         when one is attached (it never drops), else the
-     *         in-memory store size.
-     */
+    /** @return records streamed to the binlog, metrics samples
+     *  included (0 without one). */
     std::uint64_t recordedEvents() const;
-
-    /** @return stored-event count for one kind. */
-    std::uint64_t
-    storedCount(EventKind k) const
-    {
-        return kind_counts[static_cast<int>(k)];
-    }
-
-    /** Write the stored events as Chrome trace_event JSON. */
-    void exportChromeJson(const std::string &path) const;
-
-    /** Write the stored events in the compact binary format. */
-    void exportBinary(const std::string &path) const;
-
-    /** Write the stored events in @p format to @p path. */
-    void exportTo(const std::string &path, TraceFormat format) const;
-
-    /**
-     * Read a binary trace written by exportBinary(). Accepts both the
-     * current CNTRC002 format (64-bit durations + drop count) and the
-     * legacy CNTRC001 layout.
-     *
-     * @return true on success; on failure @p error (if non-null)
-     *         receives a description. @p dropped (if non-null)
-     *         receives the capture-side drop count recorded in the
-     *         header (0 for CNTRC001 files).
-     */
-    static bool readBinary(const std::string &path,
-                           std::vector<TraceEvent> &out,
-                           std::vector<std::string> &components,
-                           std::string *error = nullptr,
-                           std::uint64_t *dropped = nullptr);
 
   private:
     ObsParams params;
     std::vector<std::string> comps;
-    std::vector<TraceEvent> store;
-    std::function<void(const TraceEvent &)> listener;
+    ProtocolAuditor *auditor = nullptr;
     BinlogWriter *binlog = nullptr;
-    std::uint64_t kind_counts[num_event_kinds] = {};
-    std::uint64_t n_dropped = 0;
     Tick last_tick = 0;
-    bool store_enabled = false;
     bool armed = false;
 };
 
 /**
  * Write @p events as Chrome trace_event JSON with one track per entry
- * of @p components; @p dropped capture-side drops are surfaced in the
- * top-level metadata object. Shared by TraceSink and tools/cntrace.
+ * of @p components; @p dropped, the drop count a binlog's trailer
+ * records, is surfaced in the top-level metadata object.
  */
 void writeChromeJson(const std::string &path,
                      const std::vector<TraceEvent> &events,

@@ -283,11 +283,8 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
 {
     validate(sys_cfg, workload, run_cfg);
 
-    // A trace-out path implies event recording for this run; a
-    // binlog-out path streams events to the CNBLG01 binary log.
+    // A binlog-out path streams events to the CNBLG01 binary log.
     SystemConfig sc = sys_cfg;
-    if (!run_cfg.trace_out.empty())
-        sc.obs.trace = true;
     if (!run_cfg.binlog_out.empty())
         sc.obs.binlog_out = run_cfg.binlog_out;
 
@@ -562,12 +559,8 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
     system.finishObs(end);
     if (system.metrics())
         r.metrics_csv = system.metrics()->csv();
-    if (obs::TraceSink *sink = system.traceSink()) {
+    if (obs::TraceSink *sink = system.traceSink())
         r.trace_events = sink->recordedEvents();
-        r.trace_dropped = sink->dropped();
-        if (!run_cfg.trace_out.empty())
-            sink->exportTo(run_cfg.trace_out, run_cfg.trace_format);
-    }
     if (system.auditor())
         r.audited_transitions = system.auditor()->transitions();
     return r;

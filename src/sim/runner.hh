@@ -43,11 +43,6 @@ struct RunConfig
     bool collect_stats_dump = false;
     /** Collect the statistics CSV into RunResult::stats_csv. */
     bool collect_stats_csv = false;
-    /** Export the recorded event trace here ("" = no trace). Setting
-     *  this implies SystemConfig::obs.trace for the run. */
-    std::string trace_out;
-    /** Export format for trace_out. */
-    obs::TraceFormat trace_format = obs::TraceFormat::ChromeJson;
     /** Stream events + metrics to this CNBLG01 binary log ("" = off).
      *  Setting this implies SystemConfig::obs.binlog_out. */
     std::string binlog_out;
@@ -150,12 +145,12 @@ struct RunResult
     /** Metrics time-series CSV (when obs.metrics_interval > 0). */
     std::string metrics_csv;
 
-    /** Events recorded over the measurement epoch (binlog stream
-     *  count when one is attached, else stored-event count). */
+    /** Records streamed to the binlog over the measurement epoch
+     *  (events and metrics samples). */
     std::uint64_t trace_events = 0;
 
-    /** Events dropped by the in-memory store past its max_events cap
-     *  (the binlog stream never drops). */
+    /** Always 0: no event is dropped on its way to the binlog. Kept
+     *  while ledger/ still reads it. */
     std::uint64_t trace_dropped = 0;
 
     /** Transitions checked by the auditor (when obs.audit). */

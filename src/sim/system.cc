@@ -124,7 +124,7 @@ System::System(const SystemConfig &c) : cfg(c)
 
     // Observability: one sink per System, never shared, so parallel
     // runs stay deterministic and traced runs stay reproducible.
-    if (cfg.obs.trace || cfg.obs.audit || !cfg.obs.binlog_out.empty()) {
+    if (cfg.obs.audit || !cfg.obs.binlog_out.empty()) {
         sink_ = std::make_unique<obs::TraceSink>(cfg.obs);
         icn->attachSink(sink_.get());
         mem->attachSink(sink_.get());
@@ -139,10 +139,7 @@ System::System(const SystemConfig &c) : cfg(c)
             auditor_->blockCheck = [this](Addr a) {
                 l2_org->checkBlockInvariants(a);
             };
-            sink_->setListener([au = auditor_.get()](
-                                   const obs::TraceEvent &ev) {
-                au->onEvent(ev);
-            });
+            sink_->setAuditor(auditor_.get());
         }
         if (!cfg.obs.binlog_out.empty()) {
             binlog_ =
@@ -289,7 +286,7 @@ System::finishObs(Tick now)
     if (metrics_)
         metrics_->finish(now);
     if (binlog_ && binlog_->active())
-        binlog_->finish(sink_->dropped());
+        binlog_->finish();
 }
 
 void

@@ -82,7 +82,7 @@ struct SystemConfig
     /** Mesh/ring + directory timing (mesh/ring interconnects only). */
     NocParams noc;
     MemoryParams memory;
-    /** Observability: event tracing, metrics, protocol auditing. */
+    /** Observability: event log, metrics, protocol auditing. */
     obs::ObsParams obs;
 };
 
@@ -113,9 +113,9 @@ class System
     void regStats(StatGroup &group);
 
     /**
-     * Reset all statistics and arm the trace sink: from here on, every
-     * event is stored, so stored event counts line up with the
-     * post-reset statistics counters.
+     * Reset all statistics, begin the binlog and arm the trace sink:
+     * from here on, every event is logged, so logged event counts line
+     * up with the post-reset statistics counters.
      */
     void resetStats();
 

@@ -3,8 +3,8 @@
  * Unit tests for the obs binlog subsystem (DESIGN.md 3j): the static
  * message registry, BinRecord round-trips (fuzzed), the SPSC ring, the
  * streaming writer's CNBLG01 file layout, strict reader rejection of
- * corrupt/truncated streams, metric-row reconstruction, and the
- * byte-determinism contract.
+ * corrupt/truncated streams, metric-row reconstruction, the
+ * byte-determinism contract, and one writer per path.
  */
 
 #include <gtest/gtest.h>
@@ -221,25 +221,6 @@ TEST(Binlog, WideDurationsSurviveTheStream)
     std::remove(path.c_str());
 }
 
-TEST(Binlog, TrailerCarriesCaptureDrops)
-{
-    const std::string path = tmpPath("drops.blg");
-    {
-        obs::BinlogWriter w(path);
-        w.begin({"c"}, {});
-        obs::TraceEvent ev;
-        ev.component = 0;
-        w.append(ev);
-        w.finish(42);
-    }
-    obs::BinlogData data;
-    std::string err;
-    ASSERT_TRUE(obs::readBinlog(path, data, &err)) << err;
-    EXPECT_EQ(data.dropped, 42u);
-    EXPECT_EQ(data.records.size(), 1u);
-    std::remove(path.c_str());
-}
-
 TEST(Binlog, WriterStreamsLargeBacklogLossless)
 {
     // Far more records than the ring holds: the producer must block
@@ -398,6 +379,28 @@ TEST(BinlogDeathTest, DoubleBeginAsserts)
     w.begin({}, {});
     EXPECT_DEATH(w.begin({}, {}), "begun twice");
     w.finish();
+    std::remove(path.c_str());
+}
+
+TEST(BinlogDeathTest, SecondWriterOnAnOpenPathDies)
+{
+    // Two runs given one binlog_out must not truncate and interleave
+    // one file silently.
+    const std::string path = tmpPath("claimed.blg");
+    {
+        obs::BinlogWriter first(path);
+        first.begin({}, {});
+        obs::BinlogWriter second(path);
+        EXPECT_DEATH(second.begin({}, {}), "two binlog writers share");
+    }
+    // The first writer's destructor sealed its log and released the
+    // path, so a later run may reuse it.
+    obs::BinlogWriter next(path);
+    next.begin({}, {});
+    next.finish();
+    obs::BinlogData data;
+    std::string err;
+    EXPECT_TRUE(obs::readBinlog(path, data, &err)) << err;
     std::remove(path.c_str());
 }
 

@@ -354,8 +354,7 @@ TEST(DirectoryEquivalence, AuditorChecksDirectoryReadingsCleanly)
     obs::TraceSink sink;
     obs::ProtocolAuditor auditor(obs::AuditProtocol::Mesic, cores);
     auditor.blockCheck = [&l2](Addr a) { l2.checkBlockInvariants(a); };
-    sink.setListener(
-        [&auditor](const obs::TraceEvent &ev) { auditor.onEvent(ev); });
+    sink.setAuditor(&auditor);
     l2.setTraceSink(&sink);
     dir.attachSink(&sink);
 

@@ -119,8 +119,6 @@ TEST(FarmCell, EveryFieldMovesTheCellKey)
         {"audit", [](S &s) { s.audit = 1; }, false},
         {"metrics_interval", [](S &s) { s.metrics_interval = 5'000; },
          false},
-        {"trace_out", [](S &s) { s.trace_out = "events.json"; }, false},
-        {"trace_format", [](S &s) { s.trace_format = 1; }, false},
         {"binlog_out", [](S &s) { s.binlog_out = "run.blg"; }, false},
         {"workload", [](S &s) { s.workload = "apache"; }, true},
         {"warmup", [](S &s) { s.warmup += 1; }, true},

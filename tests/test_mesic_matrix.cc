@@ -41,9 +41,7 @@ struct AuditHarness
         auditor.blockCheck = [&l2](Addr a) {
             l2.checkBlockInvariants(a);
         };
-        sink.setListener([this](const obs::TraceEvent &ev) {
-            auditor.onEvent(ev);
-        });
+        sink.setAuditor(&auditor);
         l2.setTraceSink(&sink);
     }
 };
@@ -195,8 +193,7 @@ TEST_P(MesicMatrixScale, MigratorySharingEndsAllC)
     obs::TraceSink sink;
     obs::ProtocolAuditor auditor{obs::AuditProtocol::Mesic, cores};
     auditor.blockCheck = [&l2](Addr a) { l2.checkBlockInvariants(a); };
-    sink.setListener(
-        [&auditor](const obs::TraceEvent &ev) { auditor.onEvent(ev); });
+    sink.setAuditor(&auditor);
     l2.setTraceSink(&sink);
     dir.attachSink(&sink);
 

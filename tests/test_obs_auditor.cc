@@ -176,9 +176,7 @@ struct Audited
         auditor.blockCheck = [&l2](Addr a) {
             l2.checkBlockInvariants(a);
         };
-        sink.setListener([this](const obs::TraceEvent &ev) {
-            auditor.onEvent(ev);
-        });
+        sink.setAuditor(&auditor);
         l2.setTraceSink(&sink);
     }
 };

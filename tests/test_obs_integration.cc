@@ -2,10 +2,10 @@
  * @file
  * Integration tests for the observability subsystem through the
  * Runner: the auditor passes on real workloads for every L2
- * organization, observability never perturbs simulated timing, traces
- * are deterministic across ParallelRunner worker counts, and a binary
- * trace round-trips through the cntrace reader with event counts that
- * agree with the run's statistics counters.
+ * organization, observability never perturbs simulated timing, and a
+ * run's binlog reads back through the cntrace reader with event counts
+ * that agree with the run's statistics counters and converts to
+ * well-formed Chrome JSON.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/binlog.hh"
 #include "obs/event.hh"
 #include "obs/trace_sink.hh"
-#include "sim/parallel_runner.hh"
 #include "sim/runner.hh"
 
 namespace cnsim
@@ -93,7 +93,7 @@ TEST(ObsIntegration, AuditorPassesOnEveryOrgAndMtWorkload)
 TEST(ObsIntegration, ObservabilityDoesNotPerturbTiming)
 {
     // The acceptance bar for the whole subsystem: a fully instrumented
-    // run (trace + audit + metrics) must report simulated results
+    // run (binlog + audit + metrics) must report simulated results
     // bit-identical to a plain run of the same configuration.
     for (L2Kind kind : {L2Kind::Nurapid, L2Kind::Private}) {
         SystemConfig cfg = Runner::paperConfig(kind);
@@ -104,16 +104,15 @@ TEST(ObsIntegration, ObservabilityDoesNotPerturbTiming)
         obs_cfg.obs.audit = true;
         obs_cfg.obs.metrics_interval = 50'000;
         RunConfig rc = shortRun();
-        rc.trace_out = tmpPath(std::string("perturb_") + toString(kind) +
-                               ".bin");
-        rc.trace_format = obs::TraceFormat::Binary;
+        rc.binlog_out = tmpPath(std::string("perturb_") + toString(kind) +
+                                ".blg");
         RunResult traced = Runner::run(obs_cfg, wl, rc);
 
         expectIdenticalTiming(plain, traced, toString(kind));
         EXPECT_GT(traced.trace_events, 0u);
         EXPECT_GT(traced.audited_transitions, 0u);
         EXPECT_FALSE(traced.metrics_csv.empty());
-        std::remove(rc.trace_out.c_str());
+        std::remove(rc.binlog_out.c_str());
     }
 }
 
@@ -128,80 +127,50 @@ TEST(ObsIntegration, RepeatedRunsAreBitIdentical)
     expectIdenticalTiming(a, b, "repeat");
 }
 
-TEST(ObsIntegration, TracesIdenticalAcrossWorkerCounts)
-{
-    // Two-cell grid traced under jobs=1 and jobs=2: the exported
-    // binary traces must be byte-identical (per-System sinks, no
-    // process-global state).
-    const std::string wls[] = {"oltp", "ocean"};
-    std::vector<std::string> files[2];
-    for (int jobs = 1; jobs <= 2; ++jobs) {
-        ParallelRunner pool(jobs);
-        for (const auto &wl : wls) {
-            SystemConfig cfg = Runner::paperConfig(L2Kind::Nurapid);
-            cfg.obs.audit = true;
-            RunConfig rc = shortRun();
-            rc.trace_out = tmpPath("det_j" + std::to_string(jobs) + "_" +
-                                   wl + ".bin");
-            rc.trace_format = obs::TraceFormat::Binary;
-            files[jobs - 1].push_back(rc.trace_out);
-            pool.submit(cfg, workloads::byName(wl), rc);
-        }
-        std::vector<RunResult> results = pool.run();
-        ASSERT_EQ(results.size(), 2u);
-        for (const RunResult &r : results)
-            EXPECT_GT(r.trace_events, 0u);
-    }
-    for (std::size_t i = 0; i < files[0].size(); ++i) {
-        std::string a = slurp(files[0][i]);
-        std::string b = slurp(files[1][i]);
-        ASSERT_FALSE(a.empty());
-        EXPECT_EQ(a, b) << wls[i];
-        std::remove(files[0][i].c_str());
-        std::remove(files[1][i].c_str());
-    }
-}
-
 TEST(ObsIntegration, BinaryTraceRoundTripMatchesCounters)
 {
     SystemConfig cfg = Runner::paperConfig(L2Kind::Nurapid);
     cfg.obs.metrics_interval = 50'000;
     RunConfig rc = shortRun();
-    rc.trace_out = tmpPath("roundtrip.bin");
-    rc.trace_format = obs::TraceFormat::Binary;
+    rc.binlog_out = tmpPath("roundtrip.blg");
     RunResult r = Runner::run(cfg, workloads::byName("oltp"), rc);
 
-    std::vector<obs::TraceEvent> events;
-    std::vector<std::string> comps;
+    obs::BinlogData data;
     std::string err;
-    ASSERT_TRUE(
-        obs::TraceSink::readBinary(rc.trace_out, events, comps, &err))
-        << err;
+    ASSERT_TRUE(obs::readBinlog(rc.binlog_out, data, &err)) << err;
 
-    // Every stored event made it to disk and back.
-    EXPECT_EQ(events.size(), r.trace_events);
-    EXPECT_FALSE(comps.empty());
+    // Every logged record (events and metrics samples) made it to disk
+    // and back.
+    EXPECT_EQ(data.records.size(), r.trace_events);
+    EXPECT_FALSE(data.components.empty());
 
-    // Events were stored only over the measurement epoch, so the busTx
+    // Events were logged only over the measurement epoch, so the busTx
     // count must equal the run's bus-transaction statistic: one event
     // and one counter increment per transaction.
     std::uint64_t bus_events = 0;
-    for (const obs::TraceEvent &ev : events)
+    for (const obs::TraceEvent &ev : obs::binlogEvents(data))
         bus_events += ev.kind == obs::EventKind::BusTx ? 1 : 0;
     EXPECT_EQ(bus_events, r.bus_transactions);
-    std::remove(rc.trace_out.c_str());
+    std::remove(rc.binlog_out.c_str());
 }
 
 TEST(ObsIntegration, ChromeJsonExportIsWellFormed)
 {
+    // The Chrome JSON of a run is `cntrace json` over its binlog.
     SystemConfig cfg = Runner::paperConfig(L2Kind::Nurapid);
     cfg.obs.audit = true;
     RunConfig rc = shortRun();
-    rc.trace_out = tmpPath("chrome.json");
+    rc.binlog_out = tmpPath("chrome.blg");
     RunResult r = Runner::run(cfg, workloads::byName("oltp"), rc);
     EXPECT_GT(r.trace_events, 0u);
 
-    std::string json = slurp(rc.trace_out);
+    obs::BinlogData data;
+    std::string err;
+    ASSERT_TRUE(obs::readBinlog(rc.binlog_out, data, &err)) << err;
+    const std::string json_path = tmpPath("chrome.json");
+    obs::writeChromeJson(json_path, obs::binlogEvents(data),
+                         data.components, data.dropped);
+    std::string json = slurp(json_path);
     ASSERT_FALSE(json.empty());
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("mem.bus"), std::string::npos);
@@ -209,7 +178,8 @@ TEST(ObsIntegration, ChromeJsonExportIsWellFormed)
               std::count(json.begin(), json.end(), '}'));
     EXPECT_EQ(std::count(json.begin(), json.end(), '['),
               std::count(json.begin(), json.end(), ']'));
-    std::remove(rc.trace_out.c_str());
+    std::remove(rc.binlog_out.c_str());
+    std::remove(json_path.c_str());
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests for the obs::TraceSink event recorder: activation and
- * arming semantics, per-kind accounting, the event cap, and the two
- * export formats (Chrome JSON and the binary format round-tripped
- * through readBinary).
+ * arming semantics, the typed emit helpers as read back from an
+ * attached binlog, and the offline formatters (Chrome JSON, summary,
+ * one-line text) that cntrace renders with.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +14,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/auditor.hh"
+#include "obs/binlog.hh"
 #include "obs/event.hh"
 #include "obs/trace_sink.hh"
 
@@ -39,55 +42,106 @@ slurp(const std::string &path)
     return ss.str();
 }
 
-obs::ObsParams
-tracingOn()
+/** A sink that streams its armed events to a binlog file. */
+struct LoggedSink
 {
-    obs::ObsParams p;
-    p.trace = true;
-    return p;
+    const std::string path;
+    obs::BinlogWriter writer{path};
+    obs::TraceSink sink;
+
+    explicit LoggedSink(std::string p) : path(std::move(p))
+    {
+        sink.setBinlog(&writer);
+    }
+
+    /** Begin the log over the components registered so far, and arm. */
+    void
+    arm()
+    {
+        writer.begin(sink.components(), {});
+        sink.armRecording();
+    }
+
+    /** Seal the log, read its events back, and delete the file. */
+    std::vector<obs::TraceEvent>
+    finish()
+    {
+        writer.finish();
+        obs::BinlogData data;
+        std::string err;
+        EXPECT_TRUE(obs::readBinlog(path, data, &err)) << err;
+        std::remove(path.c_str());
+        return obs::binlogEvents(data);
+    }
+};
+
+obs::TraceEvent
+transitionEvent(Tick t, int comp, CoreId core, Addr addr, CohState olds,
+                CohState news, obs::TransCause cause)
+{
+    return {.tick = t,
+            .addr = addr,
+            .component = static_cast<std::int16_t>(comp),
+            .core = static_cast<std::int16_t>(core),
+            .kind = obs::EventKind::Transition,
+            .a = static_cast<std::uint8_t>(olds),
+            .b = static_cast<std::uint8_t>(news),
+            .c = static_cast<std::uint8_t>(cause)};
 }
 
 TEST(TraceSink, DisabledSinkIsInert)
 {
-    obs::TraceSink sink;  // neither tracing nor a listener
+    obs::TraceSink sink;  // neither a binlog nor an auditor
     EXPECT_FALSE(sink.active());
     sink.transition(10, 0, 0, 0x40, CohState::Invalid,
                     CohState::Modified, obs::TransCause::PrWr);
     sink.busTx(20, 0, BusCmd::BusRd, 8);
-    EXPECT_TRUE(sink.events().empty());
-    sink.armRecording();  // tracing off: arming must not enable storage
+    sink.armRecording();  // no binlog: arming must not enable logging
     sink.busTx(30, 0, BusCmd::BusRd, 8);
-    EXPECT_TRUE(sink.events().empty());
     EXPECT_FALSE(sink.recording());
+    EXPECT_FALSE(sink.active());
+    // The helpers returned before record(): no tick was even noted.
+    EXPECT_EQ(sink.approxNow(), 0u);
+    EXPECT_EQ(sink.recordedEvents(), 0u);
+    EXPECT_EQ(sink.dropped(), 0u);
 }
 
 TEST(TraceSink, ArmingGatesStorageButNotTheListener)
 {
-    obs::TraceSink sink(tracingOn());
-    int listened = 0;
-    sink.setListener([&](const obs::TraceEvent &) { ++listened; });
+    // The binlog stores armed events only; the auditor listens to
+    // every event, warm-up included.
+    LoggedSink log(tmpPath("arming.blg"));
+    obs::ProtocolAuditor auditor(obs::AuditProtocol::Mesi, 2);
+    log.sink.setAuditor(&auditor);
+    log.sink.registerComponent("l2");
+    const Addr x = 0x40;
 
-    // Pre-arm (warm-up): listener sees events, store does not.
-    sink.busTx(5, 0, BusCmd::BusRd, 8);
-    EXPECT_EQ(listened, 1);
-    EXPECT_TRUE(sink.events().empty());
+    log.sink.transition(5, 0, 0, x, CohState::Invalid, CohState::Exclusive,
+                        obs::TransCause::Fill);
+    EXPECT_EQ(auditor.transitions(), 1u);
+    EXPECT_EQ(log.sink.recordedEvents(), 0u);
 
-    sink.armRecording();
-    EXPECT_TRUE(sink.recording());
-    sink.busTx(15, 0, BusCmd::BusRdX, 8);
-    EXPECT_EQ(listened, 2);
-    ASSERT_EQ(sink.events().size(), 1u);
-    EXPECT_EQ(sink.events()[0].tick, 15u);
+    log.arm();
+    EXPECT_TRUE(log.sink.recording());
+    log.sink.transition(15, 0, 0, x, CohState::Exclusive,
+                        CohState::Modified, obs::TransCause::PrWr);
+    EXPECT_EQ(auditor.transitions(), 2u);
+    EXPECT_EQ(log.sink.recordedEvents(), 1u);
 
-    sink.disarmRecording();
-    sink.busTx(25, 0, BusCmd::BusRd, 8);
-    EXPECT_EQ(listened, 3);
-    EXPECT_EQ(sink.events().size(), 1u);
+    log.sink.disarmRecording();
+    log.sink.transition(25, 0, 0, x, CohState::Modified, CohState::Invalid,
+                        obs::TransCause::Replacement);
+    EXPECT_EQ(auditor.transitions(), 3u);
+    EXPECT_EQ(log.sink.recordedEvents(), 1u);
+
+    std::vector<obs::TraceEvent> events = log.finish();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].tick, 15u);
 }
 
 TEST(TraceSink, RegisterComponentDeduplicates)
 {
-    obs::TraceSink sink(tracingOn());
+    obs::TraceSink sink;
     int a = sink.registerComponent("l2.core0");
     int b = sink.registerComponent("mem.bus");
     int a2 = sink.registerComponent("l2.core0");
@@ -99,9 +153,11 @@ TEST(TraceSink, RegisterComponentDeduplicates)
 
 TEST(TraceSink, PerKindCountsAndApproxNow)
 {
-    obs::TraceSink sink(tracingOn());
-    sink.armRecording();
+    // Each typed helper logs exactly one event of its own kind.
+    LoggedSink log(tmpPath("kinds.blg"));
+    obs::TraceSink &sink = log.sink;
     int c = sink.registerComponent("x");
+    log.arm();
     sink.busTx(10, c, BusCmd::BusRd, 8);
     sink.transition(20, c, 1, 0x80, CohState::Invalid,
                     CohState::Exclusive, obs::TransCause::Fill);
@@ -111,68 +167,23 @@ TEST(TraceSink, PerKindCountsAndApproxNow)
     sink.backInval(50, c, 0, 0x80, 2);
     sink.resourceAcquire(60, c, 4, 8);
     sink.coreStall(70, c, 3, 0x80, 100);
+    sink.directoryState(80, c, 1, 0x80, 0x2, 1, BusCmd::BusRd);
+    EXPECT_EQ(sink.approxNow(), 80u);
+    EXPECT_EQ(sink.recordedEvents(), 8u);
 
-    EXPECT_EQ(sink.storedCount(obs::EventKind::BusTx), 1u);
-    EXPECT_EQ(sink.storedCount(obs::EventKind::Transition), 2u);
-    EXPECT_EQ(sink.storedCount(obs::EventKind::DGroup), 1u);
-    EXPECT_EQ(sink.storedCount(obs::EventKind::L1BackInval), 1u);
-    EXPECT_EQ(sink.storedCount(obs::EventKind::Resource), 1u);
-    EXPECT_EQ(sink.storedCount(obs::EventKind::CoreStall), 1u);
-    EXPECT_EQ(sink.events().size(), 7u);
-    EXPECT_EQ(sink.approxNow(), 70u);
-}
-
-TEST(TraceSink, EventCapDropsButCounts)
-{
-    obs::ObsParams p = tracingOn();
-    p.max_events = 4;
-    obs::TraceSink sink(p);
-    sink.armRecording();
-    for (int i = 0; i < 10; ++i)
-        sink.busTx(i, 0, BusCmd::BusRd, 8);
-    EXPECT_EQ(sink.events().size(), 4u);
-    EXPECT_EQ(sink.dropped(), 6u);
-}
-
-TEST(TraceSink, DroppedCountSurfacesInEveryExport)
-{
-    // Regression: a trace that hit max_events used to export without
-    // any trace of the truncation -- the file looked complete.
-    obs::ObsParams p = tracingOn();
-    p.max_events = 3;
-    obs::TraceSink sink(p);
-    sink.armRecording();
-    int c = sink.registerComponent("mem.bus");
-    for (int i = 0; i < 10; ++i)
-        sink.busTx(i, c, BusCmd::BusRd, 8);
-    ASSERT_EQ(sink.dropped(), 7u);
-
-    // Binary header carries the drop count through a round trip...
-    const std::string bin = tmpPath("dropped.bin");
-    sink.exportBinary(bin);
-    std::vector<obs::TraceEvent> events;
-    std::vector<std::string> comps;
-    std::string err;
-    std::uint64_t dropped = 0;
-    ASSERT_TRUE(obs::TraceSink::readBinary(bin, events, comps, &err,
-                                           &dropped))
-        << err;
-    EXPECT_EQ(dropped, 7u);
-    EXPECT_EQ(events.size(), 3u);
-
-    // ...the summary warns about the incomplete capture...
-    std::string sum = obs::summarize(events, comps, dropped);
-    EXPECT_NE(sum.find("incomplete capture"), std::string::npos);
-    EXPECT_NE(sum.find("7 events dropped"), std::string::npos);
-
-    // ...and the Chrome JSON surfaces it as metadata.
-    const std::string json_path = tmpPath("dropped.json");
-    sink.exportChromeJson(json_path);
-    std::string json = slurp(json_path);
-    EXPECT_NE(json.find("\"droppedEvents\":7"), std::string::npos);
-
-    std::remove(bin.c_str());
-    std::remove(json_path.c_str());
+    std::uint64_t per_kind[obs::num_event_kinds] = {};
+    for (const obs::TraceEvent &ev : log.finish())
+        ++per_kind[static_cast<int>(ev.kind)];
+    auto count = [&](obs::EventKind k) {
+        return per_kind[static_cast<int>(k)];
+    };
+    EXPECT_EQ(count(obs::EventKind::BusTx), 1u);
+    EXPECT_EQ(count(obs::EventKind::Transition), 2u);
+    EXPECT_EQ(count(obs::EventKind::DGroup), 1u);
+    EXPECT_EQ(count(obs::EventKind::L1BackInval), 1u);
+    EXPECT_EQ(count(obs::EventKind::Resource), 1u);
+    EXPECT_EQ(count(obs::EventKind::CoreStall), 1u);
+    EXPECT_EQ(count(obs::EventKind::Directory), 1u);
 }
 
 TEST(TraceSink, WideDurationsSurviveBinaryRoundTrip)
@@ -180,100 +191,33 @@ TEST(TraceSink, WideDurationsSurviveBinaryRoundTrip)
     // Regression: busTx/resourceAcquire/coreStall used to truncate
     // Tick durations to uint32, so a stall >= 2^32 ticks wrapped.
     const std::uint64_t wide = (std::uint64_t{1} << 32) + 99;
-    obs::TraceSink sink(tracingOn());
-    sink.armRecording();
-    int c = sink.registerComponent("x");
-    sink.coreStall(10, c, 0, 0x40, wide);
-    sink.busTx(20, c, BusCmd::BusRd, wide + 1);
-    sink.resourceAcquire(30, c, 4, wide + 2);
-    ASSERT_EQ(sink.events().size(), 3u);
-    EXPECT_EQ(sink.events()[0].dur, wide);
-    EXPECT_EQ(sink.events()[1].dur, wide + 1);
-    EXPECT_EQ(sink.events()[2].dur, wide + 2);
+    LoggedSink log(tmpPath("wide.blg"));
+    int c = log.sink.registerComponent("x");
+    log.arm();
+    log.sink.coreStall(10, c, 0, 0x40, wide);
+    log.sink.busTx(20, c, BusCmd::BusRd, wide + 1);
+    log.sink.resourceAcquire(30, c, 4, wide + 2);
 
-    const std::string path = tmpPath("wide.bin");
-    sink.exportBinary(path);
-    std::vector<obs::TraceEvent> events;
-    std::vector<std::string> comps;
-    std::string err;
-    ASSERT_TRUE(obs::TraceSink::readBinary(path, events, comps, &err))
-        << err;
+    std::vector<obs::TraceEvent> events = log.finish();
     ASSERT_EQ(events.size(), 3u);
     EXPECT_EQ(events[0].dur, wide);
     EXPECT_EQ(events[1].dur, wide + 1);
     EXPECT_EQ(events[2].dur, wide + 2);
-    std::remove(path.c_str());
-}
-
-TEST(TraceSink, BinaryRoundTripPreservesEverything)
-{
-    obs::TraceSink sink(tracingOn());
-    sink.armRecording();
-    int bus = sink.registerComponent("mem.bus");
-    int core = sink.registerComponent("l2.core1");
-    sink.busTx(10, bus, BusCmd::BusUpg, 8);
-    sink.transition(22, core, 1, 0xabc0, CohState::Shared,
-                    CohState::Communication, obs::TransCause::BusUpg,
-                    obs::trans_flag_broadcast);
-    sink.dgroupOp(33, core, 1, 0xabc0, obs::DGroupOp::Replication, 3,
-                  true);
-    sink.coreStall(44, core, 1, 0xabc0, 77);
-
-    const std::string path = tmpPath("roundtrip.bin");
-    sink.exportBinary(path);
-
-    std::vector<obs::TraceEvent> events;
-    std::vector<std::string> comps;
-    std::string err;
-    ASSERT_TRUE(obs::TraceSink::readBinary(path, events, comps, &err))
-        << err;
-    ASSERT_EQ(comps.size(), 2u);
-    EXPECT_EQ(comps[bus], "mem.bus");
-    EXPECT_EQ(comps[core], "l2.core1");
-    ASSERT_EQ(events.size(), sink.events().size());
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        const obs::TraceEvent &a = sink.events()[i];
-        const obs::TraceEvent &b = events[i];
-        EXPECT_EQ(a.tick, b.tick);
-        EXPECT_EQ(a.addr, b.addr);
-        EXPECT_EQ(a.arg, b.arg);
-        EXPECT_EQ(a.dur, b.dur);
-        EXPECT_EQ(a.component, b.component);
-        EXPECT_EQ(a.core, b.core);
-        EXPECT_EQ(a.kind, b.kind);
-        EXPECT_EQ(a.a, b.a);
-        EXPECT_EQ(a.b, b.b);
-        EXPECT_EQ(a.c, b.c);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(TraceSink, ReadBinaryRejectsGarbage)
-{
-    const std::string path = tmpPath("garbage.bin");
-    {
-        std::ofstream out(path);
-        out << "this is not a trace";
-    }
-    std::vector<obs::TraceEvent> events;
-    std::vector<std::string> comps;
-    std::string err;
-    EXPECT_FALSE(obs::TraceSink::readBinary(path, events, comps, &err));
-    EXPECT_FALSE(err.empty());
-    std::remove(path.c_str());
 }
 
 TEST(TraceSink, ChromeJsonMentionsTracksAndEvents)
 {
-    obs::TraceSink sink(tracingOn());
-    sink.armRecording();
-    int bus = sink.registerComponent("mem.bus");
-    sink.busTx(10, bus, BusCmd::BusRd, 8);
-    sink.transition(20, bus, 0, 0x40, CohState::Invalid,
-                    CohState::Exclusive, obs::TransCause::Fill);
+    obs::TraceEvent bus{.tick = 10,
+                        .dur = 8,
+                        .component = 0,
+                        .kind = obs::EventKind::BusTx,
+                        .a = static_cast<std::uint8_t>(BusCmd::BusRd)};
+    std::vector<obs::TraceEvent> events = {
+        bus, transitionEvent(20, 0, 0, 0x40, CohState::Invalid,
+                             CohState::Exclusive, obs::TransCause::Fill)};
 
     const std::string path = tmpPath("trace.json");
-    sink.exportChromeJson(path);
+    obs::writeChromeJson(path, events, {"mem.bus"});
     std::string json = slurp(path);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("mem.bus"), std::string::npos);
@@ -286,17 +230,15 @@ TEST(TraceSink, ChromeJsonMentionsTracksAndEvents)
 
 TEST(TraceSink, SummaryAndFormatAreHumanReadable)
 {
-    obs::TraceSink sink(tracingOn());
-    sink.armRecording();
-    int c = sink.registerComponent("l2.nurapid.core0.tag");
-    sink.transition(10, c, 0, 0x1000, CohState::Invalid,
-                    CohState::Modified, obs::TransCause::PrWr);
-    std::string line = obs::formatEvent(sink.events()[0],
-                                        sink.components());
+    const std::vector<std::string> comps = {"l2.nurapid.core0.tag"};
+    const std::vector<obs::TraceEvent> events = {
+        transitionEvent(10, 0, 0, 0x1000, CohState::Invalid,
+                        CohState::Modified, obs::TransCause::PrWr)};
+    std::string line = obs::formatEvent(events[0], comps);
     EXPECT_NE(line.find("l2.nurapid.core0.tag"), std::string::npos);
     EXPECT_NE(line.find("PrWr"), std::string::npos);
 
-    std::string sum = obs::summarize(sink.events(), sink.components());
+    std::string sum = obs::summarize(events, comps);
     EXPECT_NE(sum.find("transition"), std::string::npos);
 }
 

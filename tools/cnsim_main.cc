@@ -105,17 +105,12 @@ usage(const char *argv0)
         "  --stats            dump the full statistics block per run\n"
         "  --stats-csv <file> write per-run statistics as CSV "
         "(l2,workload,name,value)\n"
-        "  --trace-out <file> record the measurement epoch's events and "
-        "export them\n"
-        "                     here (grid sweeps insert <l2>-<workload> "
-        "before the\n"
-        "                     extension)\n"
-        "  --trace-format <f> json (Chrome trace_event) | bin (compact, "
-        "for cntrace)\n"
         "  --binlog-out <file> stream events + metrics to a CNBLG01 "
         "binary log\n"
         "                     (lock-free hot path; format offline with "
-        "cntrace)\n"
+        "cntrace;\n"
+        "                     grid sweeps insert <l2>-<workload> before "
+        "the extension)\n"
         "  --metrics-interval <N>  snapshot the metrics registry every N "
         "ticks\n"
         "  --metrics-out <file>    write the metrics time series CSV "
@@ -135,8 +130,8 @@ usage(const char *argv0)
 }
 
 /**
- * Insert @p tag before @p path's extension ("t.json" + "nurapid-oltp"
- * -> "t.nurapid-oltp.json") so grid sweeps write one file per run.
+ * Insert @p tag before @p path's extension ("t.blg" + "nurapid-oltp"
+ * -> "t.nurapid-oltp.blg") so grid sweeps write one file per run.
  */
 std::string
 tagPath(const std::string &path, const std::string &tag)
@@ -234,7 +229,6 @@ main(int argc, char **argv)
     std::string ckpt_load_path;
     std::string trace_capture_path;
     std::string stats_csv_path;
-    std::string trace_out;
     std::string binlog_out;
     std::string metrics_out;
 
@@ -273,21 +267,8 @@ main(int argc, char **argv)
             base.collect_stats_dump = 1;
         } else if (a == "--stats-csv") {
             stats_csv_path = next();
-        } else if (a == "--trace-out") {
-            trace_out = next();
         } else if (a == "--binlog-out") {
             binlog_out = next();
-        } else if (a == "--trace-format") {
-            std::string f = next();
-            if (f == "json")
-                base.trace_format =
-                    static_cast<std::uint8_t>(obs::TraceFormat::ChromeJson);
-            else if (f == "bin")
-                base.trace_format =
-                    static_cast<std::uint8_t>(obs::TraceFormat::Binary);
-            else
-                fatal("--trace-format must be json or bin, got '%s'",
-                      f.c_str());
         } else if (a == "--metrics-interval") {
             base.metrics_interval = number();
         } else if (a == "--metrics-out") {
@@ -397,7 +378,6 @@ main(int argc, char **argv)
             farm::CellSpec spec = base;
             spec.l2_kind = static_cast<std::uint32_t>(kind);
             spec.workload = w;
-            spec.trace_out = per_cell(trace_out);
             spec.binlog_out = per_cell(binlog_out);
             spec.ckpt_save = per_cell(ckpt_save_path);
             spec.ckpt_load = per_cell(ckpt_load_path);
@@ -438,18 +418,12 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(r.cycles));
         if (base.collect_stats_dump)
             std::printf("%s\n", r.stats_dump.c_str());
-        if (base.audit || !trace_out.empty() || !binlog_out.empty()) {
+        if (base.audit || !binlog_out.empty())
             inform("%s/%s: %llu trace events, %llu audited transitions",
                    r.l2_kind.c_str(), r.workload.c_str(),
                    static_cast<unsigned long long>(r.trace_events),
                    static_cast<unsigned long long>(
                        r.audited_transitions));
-            if (r.trace_dropped)
-                warn("%s/%s: incomplete trace capture -- %llu events "
-                     "dropped past the max_events cap",
-                     r.l2_kind.c_str(), r.workload.c_str(),
-                     static_cast<unsigned long long>(r.trace_dropped));
-        }
     }
 
     if (!stats_csv_path.empty()) {

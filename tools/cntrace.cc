@@ -1,15 +1,18 @@
 /**
  * @file
- * cntrace: inspector for cnsim binary event traces.
+ * cntrace: offline inspector for cnsim's on-disk logs.
  *
- * Reads a trace written with `cnsim --trace-out t.bin --trace-format
- * bin` and either summarizes it, dumps (filtered) events as text, or
- * converts it to Chrome trace_event JSON:
+ * Reads a CNBLG01 binary log written with `cnsim --binlog-out run.blg`
+ * and rebuilds the event stream from the message registry embedded in
+ * its header. It summarizes the events, dumps them (filtered) as text,
+ * converts them to Chrome trace_event JSON, or renders the streamed
+ * metrics snapshots as a time-series CSV:
  *
- *   cntrace summary t.bin
- *   cntrace dump t.bin --kind transition --core 2 --limit 50
- *   cntrace dump t.bin --addr 0x1f40 --component l2.nurapid
- *   cntrace json t.bin out.json
+ *   cntrace summary run.blg
+ *   cntrace dump run.blg --kind transition --core 2 --limit 50
+ *   cntrace dump run.blg --addr 0x1f40 --component l2.nurapid
+ *   cntrace json run.blg out.json
+ *   cntrace csv run.blg [out.csv]
  *
  * Filters intersect; --component matches any track whose registered
  * path contains the given substring.
@@ -19,16 +22,6 @@
  *
  *   cntrace summary oltp.trf
  *   cntrace dump oltp.trf --core 1 --limit 20
- *
- * Binary logs (CNBLG001, from `cnsim --binlog-out run.blg`) are also
- * detected by magic: summary/dump/json reconstruct the event stream
- * offline from the embedded message registry, and `csv` renders the
- * streamed metrics snapshots as a time-series CSV:
- *
- *   cntrace summary run.blg
- *   cntrace dump run.blg --kind coreStall --limit 20
- *   cntrace json run.blg out.json
- *   cntrace csv run.blg [out.csv]
  */
 
 #include <cstdio>
@@ -55,18 +48,20 @@ void
 usage(const char *argv0)
 {
     std::printf(
-        "usage: %s <command> <trace.bin> [options]\n"
+        "usage: %s <command> <run.blg> [options]\n"
         "commands:\n"
-        "  summary <trace.bin>             per-kind/component/cause "
+        "  summary <run.blg>               per-kind/component/cause "
         "breakdown\n"
-        "  dump <trace.bin> [filters]      print events, one per line\n"
-        "  json <trace.bin> <out.json>     convert to Chrome "
+        "  dump <run.blg> [filters]        print events, one per line\n"
+        "  json <run.blg> <out.json>       convert to Chrome "
         "trace_event JSON\n"
-        "  csv <run.blg> [out.csv]         metrics time-series from a "
-        "CNBLG01 binlog\n"
+        "  csv <run.blg> [out.csv]         metrics time series\n"
+        "summary and dump also read CNTRF001 packed traces (dump: "
+        "--core, --limit)\n"
         "dump filters:\n"
         "  --kind <k>        busTx|transition|dgroup|l1BackInval|"
-        "resource|coreStall\n"
+        "resource|coreStall|\n"
+        "                    directory\n"
         "  --core <N>        events initiated by/affecting core N\n"
         "  --addr <A>        events for block address A (hex ok)\n"
         "  --component <s>   track path contains substring s\n"
@@ -74,32 +69,18 @@ usage(const char *argv0)
         argv0);
 }
 
-/** True when @p path starts with the 8-byte @p magic. */
+/** True when @p path starts with the CNTRF001 packed-trace magic. */
 bool
-hasMagic(const std::string &path, const char *magic)
+isPackedTrace(const std::string &path)
 {
     std::FILE *fp = std::fopen(path.c_str(), "rb");
     if (!fp)
         return false;
     char m[8];
     bool ok = std::fread(m, 1, 8, fp) == 8 &&
-              std::memcmp(m, magic, 8) == 0;
+              std::memcmp(m, "CNTRF001", 8) == 0;
     std::fclose(fp);
     return ok;
-}
-
-/** True when @p path starts with the CNTRF001 packed-trace magic. */
-bool
-isPackedTrace(const std::string &path)
-{
-    return hasMagic(path, "CNTRF001");
-}
-
-/** True when @p path starts with the CNBLG001 binlog magic. */
-bool
-isBinlog(const std::string &path)
-{
-    return hasMagic(path, "CNBLG001");
 }
 
 void
@@ -235,45 +216,32 @@ main(int argc, char **argv)
               cmd.c_str());
     }
 
-    std::vector<obs::TraceEvent> events;
-    std::vector<std::string> components;
+    obs::BinlogData data;
     std::string error;
-    std::uint64_t dropped = 0;
-    bool binlog = isBinlog(path);
-    if (binlog) {
-        obs::BinlogData data;
-        if (!obs::readBinlog(path, data, &error))
-            fatal("%s: %s", path.c_str(), error.c_str());
-        if (cmd == "csv") {
-            std::string csv = obs::binlogMetricsCsv(data);
-            if (argc >= 4) {
-                std::FILE *out = std::fopen(argv[3], "wb");
-                if (!out)
-                    fatal("cannot open '%s' for writing", argv[3]);
-                std::fwrite(csv.data(), 1, csv.size(), out);
-                std::fclose(out);
-                inform("%zu metric columns -> %s", data.metrics.size(),
-                       argv[3]);
-            } else {
-                std::printf("%s", csv.c_str());
-            }
-            return 0;
+    if (!obs::readBinlog(path, data, &error))
+        fatal("%s: %s", path.c_str(), error.c_str());
+    if (cmd == "csv") {
+        std::string csv = obs::binlogMetricsCsv(data);
+        if (argc >= 4) {
+            std::FILE *out = std::fopen(argv[3], "wb");
+            if (!out)
+                fatal("cannot open '%s' for writing", argv[3]);
+            std::fwrite(csv.data(), 1, csv.size(), out);
+            std::fclose(out);
+            inform("%zu metric columns -> %s", data.metrics.size(),
+                   argv[3]);
+        } else {
+            std::printf("%s", csv.c_str());
         }
-        events = obs::binlogEvents(data);
-        components = data.components;
-        dropped = data.dropped;
-    } else {
-        if (!obs::TraceSink::readBinary(path, events, components, &error,
-                                        &dropped))
-            fatal("%s: %s", path.c_str(), error.c_str());
+        return 0;
     }
+    const std::vector<obs::TraceEvent> events = obs::binlogEvents(data);
+    const std::vector<std::string> &components = data.components;
+    const std::uint64_t dropped = data.dropped;
     if (dropped)
-        warn("%s: incomplete capture -- %llu events dropped past the "
-             "max_events cap",
+        warn("%s: incomplete capture -- %llu events dropped before they "
+             "reached the log",
              path.c_str(), static_cast<unsigned long long>(dropped));
-
-    if (cmd == "csv")
-        fatal("csv applies to CNBLG001 binlogs, not '%s'", path.c_str());
 
     if (cmd == "summary") {
         std::printf("%s",
