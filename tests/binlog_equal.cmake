@@ -1,4 +1,4 @@
-# Binlog worker-count determinism check, run as a ctest via `cmake -P`.
+# Binlog equality check, run as a ctest via `cmake -P`.
 #
 #   cmake -DCMD1=<exe + args> -DCMD2=<exe + args>
 #         -DDIR1=<dir> -DDIR2=<dir> -P binlog_equal.cmake
@@ -7,7 +7,8 @@
 # and fails unless every binlog in DIR1 has a byte-identical twin in
 # DIR2. This pins the binlog determinism contract: the stream's bytes
 # are a pure function of the simulation thread's append order, so
-# ParallelRunner --jobs must never change them.
+# neither ParallelRunner --jobs nor the observing --audit may change
+# them.
 
 if(NOT DEFINED CMD1 OR NOT DEFINED CMD2 OR NOT DEFINED DIR1
    OR NOT DEFINED DIR2)
@@ -46,8 +47,8 @@ foreach(log IN LISTS logs1)
         RESULT_VARIABLE diff)
     if(NOT diff EQUAL 0)
         message(FATAL_ERROR
-            "binlog_equal: ${log} differs between worker counts\n"
+            "binlog_equal: ${log} differs between the two runs\n"
             "  ${DIR1}/${log}\n  ${DIR2}/${log}\n"
-            "Binlog bytes must be independent of --jobs.")
+            "Binlog bytes must be independent of --jobs and --audit.")
     endif()
 endforeach()
