@@ -23,8 +23,12 @@ namespace cnsim
 class Rng
 {
   public:
-    /** Construct with a seed and an optional stream selector. */
-    explicit Rng(std::uint64_t seed = 0x853c49e6748fea9bULL,
+    /**
+     * Construct with a seed and an optional stream selector. The seed
+     * has no default: every Rng must be seeded from the run
+     * configuration, so no choice falls back to a baked-in stream.
+     */
+    explicit Rng(std::uint64_t seed,
                  std::uint64_t stream = 0xda3e39cb94b95bdbULL)
     {
         state = 0;

@@ -66,6 +66,16 @@ struct IsBoxedEvent<BoxedEvent<Fn>> : std::true_type
 {
 };
 
+template <typename T>
+struct IsStdFunction : std::false_type
+{
+};
+
+template <typename Sig>
+struct IsStdFunction<std::function<Sig>> : std::true_type
+{
+};
+
 template <typename F>
 BoxedEvent<std::decay_t<F>>
 makeBoxedEvent(F &&f)
@@ -85,9 +95,6 @@ makeBoxedEvent(F &&f)
 class EventQueue
 {
   public:
-    /** Convenience alias; any callable void(Tick) can be scheduled. */
-    using Callback = std::function<void(Tick)>;
-
     EventQueue();
     ~EventQueue();
 
@@ -179,8 +186,7 @@ class EventQueue
 
   private:
     /** Inline storage for the scheduled callable, sized for the lambdas
-     *  the simulator actually schedules (core step captures and copies
-     *  of std::function chains both fit). */
+     *  the simulator actually schedules (core step captures fit). */
     static constexpr std::size_t inline_bytes = 48;
 
     /** Wheel width in ticks; power of two. 4096 comfortably covers the
@@ -244,6 +250,11 @@ class EventQueue
         using Fn = std::decay_t<F>;
         static_assert(std::is_invocable_v<Fn &, Tick>,
                       "event callable must accept a Tick");
+        static_assert(!IsStdFunction<Fn>::value,
+                      "a std::function scheduled on the EventQueue "
+                      "type-erases the callable and may allocate per "
+                      "event; schedule the lambda itself so it lands in "
+                      "the event's inline storage");
         if constexpr (IsBoxedEvent<Fn>::value) {
             // Explicitly opted into a per-event heap allocation.
             ::new (static_cast<void *>(e->storage))

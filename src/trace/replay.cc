@@ -306,9 +306,6 @@ RecordedTrace::fromFile(const std::string &path)
     trace->published.store(1, std::memory_order_relaxed);
     for (std::size_t c = 0; c < t.cores.size(); ++c) {
         PackedCoreTrace &core = t.cores[c];
-        if (core.n_records == 0)
-            fatal("trace '%s' has no records for core %zu",
-                  path.c_str(), c);
         // Decode the whole payload up front (validating: nothing
         // malformed may pass) straight into the flat chunk the hot
         // replay path reads.

@@ -58,6 +58,17 @@ getU64(std::FILE *fp, std::uint64_t &v)
     return true;
 }
 
+/** @return the bytes between @p fp's position and the end of its file. */
+std::uint64_t
+bytesLeft(std::FILE *fp)
+{
+    long here = std::ftell(fp);
+    std::fseek(fp, 0, SEEK_END);
+    long end = std::ftell(fp);
+    std::fseek(fp, here, SEEK_SET);
+    return end > here ? static_cast<std::uint64_t>(end - here) : 0;
+}
+
 } // namespace
 
 void
@@ -112,29 +123,47 @@ readTrf(const std::string &path)
               num_cores);
     }
     t.cores.resize(num_cores);
-    for (PackedCoreTrace &c : t.cores) {
-        std::uint64_t n_bytes = 0;
-        if (!getU64(fp, c.n_records) || !getU64(fp, n_bytes)) {
+    std::vector<std::uint64_t> n_bytes(num_cores);
+    for (std::uint32_t i = 0; i < num_cores; ++i) {
+        if (!getU64(fp, t.cores[i].n_records) || !getU64(fp, n_bytes[i])) {
             std::fclose(fp);
             fatal("truncated CNTRF001 header in '%s'", path.c_str());
         }
-        // A packed record is at least 3 bytes (one per varint field),
-        // so a size wildly out of line with the count is corruption --
-        // and this bound keeps the resize below from ballooning on a
-        // hostile header before fread can fail.
-        if (n_bytes > c.n_records * 30 || (c.n_records > 0 && n_bytes == 0)) {
+    }
+    // Check every size against the payload the file really holds before
+    // sizing any buffer by it, so a hostile header cannot balloon the
+    // allocation here (or replay's, which is sized by the record count).
+    std::uint64_t left = bytesLeft(fp);
+    for (std::uint32_t i = 0; i < num_cores; ++i) {
+        PackedCoreTrace &c = t.cores[i];
+        if (c.n_records == 0) {
+            std::fclose(fp);
+            fatal("corrupt CNTRF001 header in '%s': core %u has no records",
+                  path.c_str(), i);
+        }
+        if (n_bytes[i] > left) {
+            std::fclose(fp);
+            fatal("truncated CNTRF001 payload in '%s': core %u declares "
+                  "%llu bytes but only %llu remain",
+                  path.c_str(), i,
+                  static_cast<unsigned long long>(n_bytes[i]),
+                  static_cast<unsigned long long>(left));
+        }
+        // A packed record takes at least 3 bytes (one varint per
+        // field); more than 30 per record is corruption too.
+        if (c.n_records > n_bytes[i] / 3 ||
+            n_bytes[i] > c.n_records * 30) {
             std::fclose(fp);
             fatal("corrupt CNTRF001 header in '%s': %llu records in "
                   "%llu bytes",
                   path.c_str(),
                   static_cast<unsigned long long>(c.n_records),
-                  static_cast<unsigned long long>(n_bytes));
+                  static_cast<unsigned long long>(n_bytes[i]));
         }
-        c.bytes.resize(n_bytes);
+        left -= n_bytes[i];
+        c.bytes.resize(n_bytes[i]);
     }
     for (PackedCoreTrace &c : t.cores) {
-        if (c.bytes.empty())
-            continue;
         if (std::fread(c.bytes.data(), 1, c.bytes.size(), fp) !=
             c.bytes.size()) {
             std::fclose(fp);

@@ -10,8 +10,8 @@
  *     // cnlint-fixture-expect: CNL-XXXX
  *
  * on the exact line the finding must land on. Each fixture is linted
- * in isolation (a fresh Linter, so cross-file context such as enum
- * catalogs and stat registrations comes only from the fixture itself)
+ * in isolation (a fresh Linter, so cross-file context such as stat
+ * registrations comes only from the fixture itself)
  * and the (line, rule) multiset of findings must match the markers
  * exactly: a rule that misses its seeded violation, fires on the good
  * twin, or drifts to a neighboring line fails here.

@@ -58,12 +58,14 @@ TEST(EventQueue, EventsScheduleMoreEvents)
 {
     EventQueue eq;
     int fired = 0;
-    std::function<void(Tick)> chain = [&](Tick t) {
+    std::function<void(Tick)> chain;
+    auto fwd = [&chain](Tick t) { chain(t); };
+    chain = [&](Tick t) {
         ++fired;
         if (fired < 5)
-            eq.schedule(t + 10, chain);
+            eq.schedule(t + 10, fwd);
     };
-    eq.schedule(0, chain);
+    eq.schedule(0, fwd);
     eq.run();
     EXPECT_EQ(fired, 5);
     EXPECT_EQ(eq.now(), 40u);
@@ -160,18 +162,20 @@ TEST(EventQueue, RandomizedDynamicSchedulesStayOrdered)
     EventQueue eq;
     Tick last_tick = 0;
     std::uint64_t fired = 0;
-    std::function<void(Tick)> spawn = [&](Tick t) {
+    std::function<void(Tick)> spawn;
+    auto fwd = [&spawn](Tick t) { spawn(t); };
+    spawn = [&](Tick t) {
         ASSERT_GE(t, last_tick);
         last_tick = t;
         ++fired;
         if (fired + eq.pending() < 10000) {
-            eq.schedule(t + rng() % 97, spawn);
+            eq.schedule(t + rng() % 97, fwd);
             if (rng() % 4 == 0)
-                eq.schedule(t + 4096 + rng() % 8192, spawn);
+                eq.schedule(t + 4096 + rng() % 8192, fwd);
         }
     };
     for (int i = 0; i < 16; ++i)
-        eq.schedule(rng() % 64, spawn);
+        eq.schedule(rng() % 64, fwd);
     eq.run();
     EXPECT_GE(fired, 10000u);
     EXPECT_EQ(eq.pending(), 0u);

@@ -64,6 +64,35 @@ fuzzRecord(Rng &rng)
     return r;
 }
 
+/**
+ * Write a one-core CNTRF001 file whose header declares @p n_records
+ * records in @p n_bytes bytes, followed by @p payload zero bytes.
+ */
+std::string
+writeOneCoreTrf(const char *tag, std::uint64_t n_records,
+                std::uint64_t n_bytes, std::size_t payload)
+{
+    std::string path = tempPath(tag);
+    std::vector<unsigned char> bytes = {'C', 'N', 'T', 'R',
+                                        'F', '0', '0', '1'};
+    auto put = [&bytes](std::uint64_t v, int width) {
+        for (int i = 0; i < width; ++i)
+            bytes.push_back(static_cast<unsigned char>(v >> (8 * i)));
+    };
+    put(1, 4); // num_cores
+    put(0, 4); // reserved
+    put(0, 8); // params_hash
+    put(0, 8); // seed
+    put(n_records, 8);
+    put(n_bytes, 8);
+    bytes.resize(bytes.size() + payload, 0);
+    std::FILE *fp = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(fp, nullptr);
+    std::fwrite(bytes.data(), 1, bytes.size(), fp);
+    std::fclose(fp);
+    return path;
+}
+
 /** Drain @p n records from a ReplaySource. */
 std::vector<TraceRecord>
 drain(ReplaySource &src, std::size_t n)
@@ -210,6 +239,34 @@ TEST(ReplayDeath, ZeroCoreHeaderRejected)
     std::fwrite(zeros.data(), 1, zeros.size(), fp);
     std::fclose(fp);
     EXPECT_DEATH(readTrf(path), "corrupt CNTRF001 header");
+    std::remove(path.c_str());
+}
+
+TEST(ReplayDeath, ByteCountBeyondFileRejected)
+{
+    // A 64-byte file declaring 1e11 records in 1e12 bytes: the byte
+    // count is checked against the file before it sizes an allocation.
+    std::string path = writeOneCoreTrf("hugepayload", 100'000'000'000ULL,
+                                       1'000'000'000'000ULL, 16);
+    EXPECT_DEATH(readTrf(path), "declares 1000000000000 bytes but only "
+                                "16 remain");
+    std::remove(path.c_str());
+}
+
+TEST(ReplayDeath, RecordCountBeyondBytesRejected)
+{
+    // 1e12 records cannot fit in 15 bytes (a record takes at least 3),
+    // and replay would otherwise reserve room for all of them.
+    std::string path = writeOneCoreTrf("hugecount", 1'000'000'000'000ULL,
+                                       15, 15);
+    EXPECT_DEATH(readTrf(path), "1000000000000 records in 15 bytes");
+    std::remove(path.c_str());
+}
+
+TEST(ReplayDeath, EmptyCoreRejected)
+{
+    std::string path = writeOneCoreTrf("emptycore", 0, 0, 0);
+    EXPECT_DEATH(readTrf(path), "core 0 has no records");
     std::remove(path.c_str());
 }
 

@@ -13,7 +13,10 @@
  * lifetime/liveness properties (T-rules). It is deliberately not a
  * compiler plugin -- the rules are lexical and cross-file, the tool
  * builds in milliseconds, and it runs identically on every host the
- * simulator builds on.
+ * simulator builds on. Where the compiler can enforce a rule exactly,
+ * the build does it instead (DESIGN.md 3f): exhaustive enum switches,
+ * self-contained headers, no std::function on the EventQueue, and no
+ * unseeded Rng are build errors, not findings.
  *
  * Rule catalog (see DESIGN.md sections 3f and 3k for the rationale):
  *
@@ -28,20 +31,11 @@
  *             sorted container
  *   CNL-D004  pointer-keyed std::map/std::set; pointer order varies
  *             run to run
- *   CNL-D005  default-constructed (unseeded) Rng; every Rng must take
- *             a seed that derives from configuration
- *   CNL-S001  switch over a tracked enum that is neither exhaustive
- *             nor guarded by a cnsim_unreachable() default
  *   CNL-S002  Counter/Scalar/Distribution member never registered
  *             with a StatGroup/MetricsRegistry (invisible stat)
- *   CNL-S003  std::function / EventQueue::Callback scheduled on the
- *             EventQueue; schedule raw callables so they use the
- *             arena's inline storage
  *   CNL-H001  `using namespace` in a header
  *   CNL-H002  missing or malformed include guard (expects
  *             CNSIM_*_HH #ifndef/#define or #pragma once)
- *   CNL-H003  std:: symbol used in a header without a direct include
- *             of its provider (self-containment assist)
  *   CNL-L001  include edge not permitted by the committed layer DAG
  *             (src/<dir> dependencies; obs/ can never depend on l2/)
  *   CNL-L002  include cycle among the scanned files
@@ -115,7 +109,7 @@ std::string renderSarif(const std::vector<Finding> &findings);
 
 /**
  * The linter: add files, then run() once. Rules that need cross-file
- * context (enum definitions for CNL-S001, the include graph for the
+ * context (stat registrations for CNL-S002, the include graph for the
  * L-rules, the symbol index for CNL-T002) see every added file, so a
  * whole-tree invocation must add the whole tree before running.
  */

@@ -3,12 +3,11 @@
  * The cnlint rule implementations.
  *
  * Each rule is a pass over a SourceFile's token stream (comments and
- * string literals already blanked). Two pieces of context are global
- * across every scanned file, so whole-tree invocations build them
- * first: the enum catalog (CNL-S001 must know an enum's full
- * enumerator list no matter which header defines it) and the set of
- * registered stat member names (CNL-S002 accepts registration in the
- * .cc even when the member is declared in the .hh).
+ * string literals already blanked). One piece of context is global
+ * across every scanned file, so whole-tree invocations build it first:
+ * the set of registered stat member names (CNL-S002 accepts
+ * registration in the .cc even when the member is declared in the
+ * .hh).
  *
  * Every rule is lexical and deliberately conservative: it flags the
  * patterns the codebase actually uses, and intentional exceptions are
@@ -35,8 +34,6 @@ namespace
 /** Cross-file context shared by all rules. */
 struct Context
 {
-    /** enum name -> enumerator names, from every scanned file. */
-    std::map<std::string, std::vector<std::string>> enums;
     /** Stat member names passed by address to add{Counter,Scalar,
      *  Distribution} anywhere in the scanned set. */
     std::set<std::string> registered_stats;
@@ -93,53 +90,6 @@ emit(const SourceFile &f, std::vector<Finding> &out, const Token &t,
 // --------------------------------------------------------------------
 // Global context collection
 // --------------------------------------------------------------------
-
-void
-collectEnums(const SourceFile &f, Context &ctx)
-{
-    const Tokens &ts = f.tokens;
-    for (std::size_t i = 0; i + 1 < ts.size(); ++i) {
-        if (!isIdent(ts[i], "enum"))
-            continue;
-        std::size_t j = i + 1;
-        if (j < ts.size() &&
-            (isIdent(ts[j], "class") || isIdent(ts[j], "struct")))
-            ++j;
-        if (j >= ts.size() || ts[j].kind != TokKind::Ident)
-            continue; // anonymous enum
-        std::string name = ts[j].text;
-        ++j;
-        // Skip an underlying-type clause up to the opening brace.
-        while (j < ts.size() && !isPunct(ts[j], "{") && !isPunct(ts[j], ";"))
-            ++j;
-        if (j >= ts.size() || !isPunct(ts[j], "{"))
-            continue; // forward declaration
-        std::size_t end = matchForward(ts, j, "{", "}");
-        std::vector<std::string> values;
-        std::size_t k = j + 1;
-        while (k < end) {
-            if (ts[k].kind == TokKind::Ident) {
-                values.push_back(ts[k].text);
-                // Skip an optional "= expr" to the comma at depth 0.
-                int depth = 0;
-                while (k < end) {
-                    if (isPunct(ts[k], "(") || isPunct(ts[k], "{"))
-                        ++depth;
-                    else if (isPunct(ts[k], ")") || isPunct(ts[k], "}"))
-                        --depth;
-                    else if (depth == 0 && isPunct(ts[k], ","))
-                        break;
-                    ++k;
-                }
-            }
-            ++k;
-        }
-        // First definition wins; redefinitions in other files (e.g. a
-        // test's local enum sharing a name) are ignored.
-        if (!values.empty() && !ctx.enums.count(name))
-            ctx.enums.emplace(name, std::move(values));
-    }
-}
 
 void
 collectStatRegistrations(const SourceFile &f, Context &ctx)
@@ -384,131 +334,9 @@ ruleD004PointerKeyedMap(const SourceFile &f, std::vector<Finding> &out)
     }
 }
 
-void
-ruleD005UnseededRng(const SourceFile &f, std::vector<Finding> &out)
-{
-    const Tokens &ts = f.tokens;
-    auto flag = [&](const Token &t) {
-        emit(f, out, t, "CNL-D005",
-             "default-constructed Rng uses the baked-in seed; every Rng "
-             "must be seeded explicitly from the run configuration");
-    };
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-        if (!isIdent(ts[i], "Rng") || i + 1 >= ts.size())
-            continue;
-        const Token &n1 = ts[i + 1];
-        // Rng::member, "class Rng", "Rng(" with arguments, etc.
-        if (isPunct(n1, ":") || (i > 0 && (isIdent(ts[i - 1], "class") ||
-                                           isIdent(ts[i - 1], "struct"))))
-            continue;
-        // `new Rng;` -- but a bare `Rng ;` also ends using-declarations
-        // (`using cnsim::Rng;`), so require the `new`.
-        if (isPunct(n1, ";") && i > 0 && isIdent(ts[i - 1], "new")) {
-            flag(ts[i]);
-            continue;
-        }
-        if (isPunct(n1, "(") && i + 2 < ts.size() &&
-            isPunct(ts[i + 2], ")")) { // Rng()
-            flag(ts[i]);
-            continue;
-        }
-        if (isPunct(n1, "{") && i + 2 < ts.size() &&
-            isPunct(ts[i + 2], "}")) { // Rng{}
-            flag(ts[i]);
-            continue;
-        }
-        if (n1.kind == TokKind::Ident && i + 2 < ts.size()) {
-            const Token &n2 = ts[i + 2];
-            if (isPunct(n2, ";")) {
-                // `Rng name;` -- in a class body this is a member the
-                // constructor is responsible for seeding (the ctor
-                // initializer list doesn't mention the type, so it is
-                // invisible here); anywhere else it is a local or
-                // global default construction.
-                if (ts[i].scope != ScopeKind::Class)
-                    flag(ts[i]);
-            } else if (isPunct(n2, "{") && i + 3 < ts.size() &&
-                       isPunct(ts[i + 3], "}")) {
-                flag(ts[i]); // Rng name{};
-            }
-        }
-    }
-}
-
 // --------------------------------------------------------------------
 // S-rules: structural invariants
 // --------------------------------------------------------------------
-
-void
-ruleS001EnumSwitch(const SourceFile &f, const Context &ctx,
-                   std::vector<Finding> &out)
-{
-    const Tokens &ts = f.tokens;
-    for (std::size_t i = 0; i + 1 < ts.size(); ++i) {
-        if (!isIdent(ts[i], "switch") || !isPunct(ts[i + 1], "("))
-            continue;
-        std::size_t close = matchForward(ts, i + 1, "(", ")");
-        if (close >= ts.size() || close + 1 >= ts.size() ||
-            !isPunct(ts[close + 1], "{"))
-            continue;
-        std::size_t body_end = matchForward(ts, close + 1, "{", "}");
-
-        std::string enum_name;
-        std::set<std::string> seen;
-        bool has_default = false;
-        bool has_unreachable = false;
-        for (std::size_t k = close + 2; k < body_end; ++k) {
-            if (isIdent(ts[k], "default") && k + 1 < body_end &&
-                isPunct(ts[k + 1], ":"))
-                has_default = true;
-            if (isIdent(ts[k], "cnsim_unreachable"))
-                has_unreachable = true;
-            // EnumName::Enumerator used as a `case` label. Walk back
-            // over any qualifier chain (case cnsim::CohState::M:) to
-            // confirm the `case` keyword, so mere mentions of the enum
-            // in the body don't count as handled labels.
-            if (ts[k].kind == TokKind::Ident && k + 3 < body_end &&
-                isPunct(ts[k + 1], ":") && isPunct(ts[k + 2], ":") &&
-                ts[k + 3].kind == TokKind::Ident &&
-                ctx.enums.count(ts[k].text)) {
-                std::size_t b = k;
-                while (b >= 3 && isPunct(ts[b - 1], ":") &&
-                       isPunct(ts[b - 2], ":") &&
-                       ts[b - 3].kind == TokKind::Ident)
-                    b -= 3;
-                if (b == 0 || !isIdent(ts[b - 1], "case"))
-                    continue;
-                if (enum_name.empty())
-                    enum_name = ts[k].text;
-                if (ts[k].text == enum_name)
-                    seen.insert(ts[k + 3].text);
-            }
-        }
-        if (enum_name.empty())
-            continue; // not a switch over a tracked enum
-        if (has_default) {
-            if (!has_unreachable) {
-                emit(f, out, ts[i], "CNL-S001",
-                     "switch over " + enum_name +
-                         " has a default that silently absorbs new "
-                         "enumerators; enumerate them or make the "
-                         "default cnsim_unreachable()");
-            }
-            continue;
-        }
-        std::string missing;
-        for (const auto &v : ctx.enums.at(enum_name)) {
-            if (!seen.count(v))
-                missing += missing.empty() ? v : ", " + v;
-        }
-        if (!missing.empty()) {
-            emit(f, out, ts[i], "CNL-S001",
-                 "switch over " + enum_name +
-                     " is not exhaustive (missing: " + missing +
-                     ") and has no cnsim_unreachable() default");
-        }
-    }
-}
 
 void
 ruleS002UnregisteredStat(const SourceFile &f, const Context &ctx,
@@ -542,45 +370,6 @@ ruleS002UnregisteredStat(const SourceFile &f, const Context &ctx,
                      "' is never registered via addCounter/addScalar/"
                      "addDistribution, so it is invisible in every "
                      "stats dump");
-        }
-    }
-}
-
-void
-ruleS003FunctionOnEventQueue(const SourceFile &f, std::vector<Finding> &out)
-{
-    // The event arena stores callables inline; wrapping one in a
-    // std::function (or the legacy EventQueue::Callback alias) before
-    // scheduling re-introduces a type-erasure allocation per event.
-    if (f.path.find("sim/event_queue.hh") != std::string::npos)
-        return; // the alias's own declaration
-    const Tokens &ts = f.tokens;
-    for (std::size_t i = 1; i + 1 < ts.size(); ++i) {
-        bool member_call =
-            isIdent(ts[i], "schedule") && isPunct(ts[i + 1], "(") &&
-            (isPunct(ts[i - 1], ".") ||
-             (i >= 2 && isPunct(ts[i - 1], ">") && isPunct(ts[i - 2], "-")));
-        if (member_call) {
-            std::size_t close = matchForward(ts, i + 1, "(", ")");
-            for (std::size_t k = i + 2; k < close; ++k) {
-                bool is_std_function =
-                    isIdent(ts[k], "function") && k >= 2 &&
-                    isPunct(ts[k - 1], ":") && isPunct(ts[k - 2], ":");
-                if (is_std_function || isIdent(ts[k], "Callback")) {
-                    emit(f, out, ts[k], "CNL-S003",
-                         "scheduling a type-erased std::function on the "
-                         "EventQueue; pass the lambda directly so it "
-                         "lands in the arena's inline storage");
-                    break;
-                }
-            }
-        }
-        if (isIdent(ts[i], "EventQueue") && i + 3 < ts.size() &&
-            isPunct(ts[i + 1], ":") && isPunct(ts[i + 2], ":") &&
-            isIdent(ts[i + 3], "Callback")) {
-            emit(f, out, ts[i], "CNL-S003",
-                 "EventQueue::Callback forces type erasure; declare the "
-                 "callable type directly (template or lambda)");
         }
     }
 }
@@ -665,142 +454,6 @@ ruleH002IncludeGuard(const SourceFile &f, std::vector<Finding> &out)
         emit(f, out, line, 1, "CNL-H002",
              "guard macro '" + guard +
                  "' does not follow the CNSIM_<PATH>_HH convention");
-    }
-}
-
-void
-ruleH003MissingInclude(const SourceFile &f, std::vector<Finding> &out)
-{
-    // Curated symbol -> acceptable provider headers. Only symbols with
-    // an unambiguous home are listed; anything absent is ignored.
-    static const std::map<std::string, std::vector<std::string>> providers =
-        {
-            {"vector", {"vector"}},
-            {"string", {"string"}},
-            {"function", {"functional"}},
-            {"unordered_map", {"unordered_map"}},
-            {"unordered_set", {"unordered_set"}},
-            {"map", {"map"}},
-            {"multimap", {"map"}},
-            {"set", {"set"}},
-            {"multiset", {"set"}},
-            {"unique_ptr", {"memory"}},
-            {"shared_ptr", {"memory"}},
-            {"weak_ptr", {"memory"}},
-            {"make_unique", {"memory"}},
-            {"make_shared", {"memory"}},
-            {"optional", {"optional"}},
-            {"nullopt", {"optional"}},
-            {"variant", {"variant"}},
-            {"monostate", {"variant"}},
-            {"array", {"array"}},
-            {"deque", {"deque"}},
-            {"list", {"list"}},
-            {"pair", {"utility", "map"}},
-            {"make_pair", {"utility"}},
-            {"move", {"utility"}},
-            {"forward", {"utility"}},
-            {"swap", {"utility"}},
-            {"exchange", {"utility"}},
-            {"declval", {"utility"}},
-            {"uint8_t", {"cstdint"}},
-            {"uint16_t", {"cstdint"}},
-            {"uint32_t", {"cstdint"}},
-            {"uint64_t", {"cstdint"}},
-            {"int8_t", {"cstdint"}},
-            {"int16_t", {"cstdint"}},
-            {"int32_t", {"cstdint"}},
-            {"int64_t", {"cstdint"}},
-            {"uintptr_t", {"cstdint"}},
-            {"intptr_t", {"cstdint"}},
-            {"size_t",
-             {"cstddef", "cstdint", "cstdio", "cstring", "vector",
-              "string"}},
-            {"ptrdiff_t", {"cstddef"}},
-            {"max_align_t", {"cstddef"}},
-            {"mutex", {"mutex"}},
-            {"lock_guard", {"mutex"}},
-            {"unique_lock", {"mutex"}},
-            {"scoped_lock", {"mutex"}},
-            {"atomic", {"atomic"}},
-            {"thread", {"thread"}},
-            {"condition_variable", {"condition_variable"}},
-            {"sort", {"algorithm"}},
-            {"stable_sort", {"algorithm"}},
-            {"lower_bound", {"algorithm"}},
-            {"upper_bound", {"algorithm"}},
-            {"min", {"algorithm"}},
-            {"max", {"algorithm"}},
-            {"min_element", {"algorithm"}},
-            {"max_element", {"algorithm"}},
-            {"clamp", {"algorithm"}},
-            {"fill", {"algorithm"}},
-            {"copy", {"algorithm"}},
-            {"find_if", {"algorithm"}},
-            {"remove_if", {"algorithm"}},
-            {"sqrt", {"cmath"}},
-            {"pow", {"cmath"}},
-            {"exp", {"cmath"}},
-            {"log", {"cmath"}},
-            {"floor", {"cmath"}},
-            {"ceil", {"cmath"}},
-            {"fabs", {"cmath"}},
-            {"ostream", {"ostream", "iostream", "sstream", "fstream"}},
-            {"istream", {"istream", "iostream", "sstream", "fstream"}},
-            {"ofstream", {"fstream"}},
-            {"ifstream", {"fstream"}},
-            {"fstream", {"fstream"}},
-            {"ostringstream", {"sstream"}},
-            {"istringstream", {"sstream"}},
-            {"stringstream", {"sstream"}},
-            {"cout", {"iostream"}},
-            {"cerr", {"iostream"}},
-            {"launder", {"new"}},
-            {"numeric_limits", {"limits"}},
-            {"initializer_list", {"initializer_list"}},
-            {"runtime_error", {"stdexcept"}},
-            {"logic_error", {"stdexcept"}},
-            {"va_list", {"cstdarg"}},
-            {"decay_t", {"type_traits"}},
-            {"is_same", {"type_traits"}},
-            {"is_same_v", {"type_traits"}},
-            {"enable_if_t", {"type_traits"}},
-            {"conditional_t", {"type_traits"}},
-            {"is_invocable", {"type_traits"}},
-            {"is_invocable_v", {"type_traits"}},
-            {"is_trivially_destructible_v", {"type_traits"}},
-            {"true_type", {"type_traits"}},
-            {"false_type", {"type_traits"}},
-            {"remove_reference_t", {"type_traits"}},
-        };
-
-    // This header's own #include names, from the cached include list
-    // (quoted targets are blanked in the code view, so the cache reads
-    // them from the raw text).
-    std::set<std::string> included;
-    for (const auto &inc : f.includes)
-        included.insert(inc.target);
-
-    const Tokens &ts = f.tokens;
-    std::set<std::string> reported;
-    for (std::size_t i = 0; i + 3 < ts.size(); ++i) {
-        if (!isIdent(ts[i], "std") || !isPunct(ts[i + 1], ":") ||
-            !isPunct(ts[i + 2], ":") || ts[i + 3].kind != TokKind::Ident)
-            continue;
-        const std::string &sym = ts[i + 3].text;
-        auto it = providers.find(sym);
-        if (it == providers.end() || reported.count(sym))
-            continue;
-        bool satisfied = false;
-        for (const auto &p : it->second)
-            satisfied = satisfied || included.count(p);
-        if (!satisfied) {
-            reported.insert(sym);
-            emit(f, out, ts[i], "CNL-H003",
-                 "std::" + sym + " used but <" + it->second.front() +
-                     "> is not included directly; headers must be "
-                     "self-contained");
-        }
     }
 }
 
@@ -1107,20 +760,11 @@ ruleCatalog()
          "iteration over std::unordered_{map,set} leaks hash order",
          true},
         {"CNL-D004", "pointer-keyed std::map/std::set", true},
-        {"CNL-D005", "default-constructed (unseeded) Rng", true},
-        {"CNL-S001",
-         "enum switch neither exhaustive nor cnsim_unreachable-guarded",
-         false},
         {"CNL-S002", "Counter/Scalar/Distribution member never "
                      "registered with a StatGroup",
          true},
-        {"CNL-S003",
-         "std::function/Callback scheduled on the EventQueue", false},
         {"CNL-H001", "'using namespace' in a header", false},
         {"CNL-H002", "missing or malformed include guard", false},
-        {"CNL-H003",
-         "std:: symbol without a direct include (self-containment)",
-         false},
         {"CNL-L001",
          "include edge not permitted by the committed layer DAG", false},
         {"CNL-L002", "include cycle among the scanned files", false},
@@ -1186,10 +830,8 @@ Linter::run()
     results.clear();
     impl->ctx = Context{};
     impl->pm.build(impl->files);
-    for (const auto &f : impl->files) {
-        collectEnums(f, impl->ctx);
+    for (const auto &f : impl->files)
         collectStatRegistrations(f, impl->ctx);
-    }
     for (const auto &f : impl->files) {
         ruleA001MalformedDirective(f, results);
         if (f.sim_scope) {
@@ -1197,18 +839,14 @@ Linter::run()
             ruleD002BannedClock(f, results);
             ruleD003UnorderedIteration(f, results);
             ruleD004PointerKeyedMap(f, results);
-            ruleD005UnseededRng(f, results);
             ruleS002UnregisteredStat(f, impl->ctx, results);
             ruleC002RawThread(f, results);
             ruleC003MutableStatic(f, impl->pm, results);
             ruleT001DanglingCapture(f, results);
         }
-        ruleS001EnumSwitch(f, impl->ctx, results);
-        ruleS003FunctionOnEventQueue(f, results);
         if (f.header) {
             ruleH001UsingNamespace(f, results);
             ruleH002IncludeGuard(f, results);
-            ruleH003MissingInclude(f, results);
         }
         ruleL001LayerViolation(f, results);
     }

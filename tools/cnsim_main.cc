@@ -231,6 +231,9 @@ main(int argc, char **argv)
     std::string stats_csv_path;
     std::string binlog_out;
     std::string metrics_out;
+    // The last sampling-only flag given; it means nothing without
+    // --sample-windows.
+    const char *sample_flag = nullptr;
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -293,8 +296,10 @@ main(int argc, char **argv)
                 number(1, std::numeric_limits<std::uint32_t>::max()));
         } else if (a == "--sample-detail") {
             base.sample_detail = number();
+            sample_flag = "--sample-detail";
         } else if (a == "--sample-warmup") {
             base.sample_warmup = number();
+            sample_flag = "--sample-warmup";
         } else if (a == "--ckpt-save") {
             ckpt_save_path = next();
         } else if (a == "--ckpt-load") {
@@ -329,6 +334,9 @@ main(int argc, char **argv)
     if (!metrics_out.empty() && base.metrics_interval == 0)
         base.metrics_interval = 100'000;
 
+    if (sample_flag && base.sample_windows == 0)
+        fatal("%s shapes interval sampling, which needs --sample-windows",
+              sample_flag);
     if (!ckpt_save_path.empty() && !ckpt_load_path.empty())
         fatal("--ckpt-save and --ckpt-load are mutually exclusive");
     if (!trace_capture_path.empty() && !base.trace_file.empty())
