@@ -2,12 +2,13 @@
  * @file
  * A reusable set-associative array with LRU bookkeeping.
  *
- * Shared by the conventional L2 organizations and by CMP-NuRAPID's
- * private tag arrays. The block type is supplied by the user and must
- * expose `valid` and `addr` (block-aligned) members; LRU state lives
- * in a packed side array here, not in the block. Tag/valid state must
- * be changed only through setTag()/invalidate()/flushAll(), which keep
- * the packed probe mirrors coherent.
+ * Shared by the conventional L2 organizations; CMP-NuRAPID's private
+ * tag arrays use NuTagArray (nurapid/tag_array.hh) instead, for its
+ * category-prioritized replacement. The block type is supplied by the
+ * user and must expose `valid` and `addr` (block-aligned) members; LRU
+ * state lives in a packed side array here, not in the block. Tag/valid
+ * state must be changed only through setTag()/invalidate()/flushAll(),
+ * which keep the packed probe mirrors coherent.
  */
 
 #ifndef CNSIM_CACHE_SET_ASSOC_HH

@@ -80,12 +80,11 @@ PrivateL2::access(const MemAccess &acc, Tick at)
         cnsim_assert(b->state == CohState::Shared, "bad upgrade state");
         Tick tb = bus.transaction(BusCmd::BusUpg, c, baddr, t);
         n_upgrades.inc();
-        for (CoreId o = 0; o < params.num_cores; ++o) {
-            if (o == c)
-                continue;
+        std::uint64_t peers = bus.snoopPeers(baddr, params.num_cores, c);
+        forEachCore(peers, [&](CoreId o) {
             if (Block *ob = caches[o].find(baddr))
                 invalidateCopy(o, ob, obs::TransCause::BusUpg, tb);
-        }
+        });
         emitTrans(tb, c, baddr, b->state, CohState::Modified,
                   obs::TransCause::PrWr);
         b->state = CohState::Modified;
@@ -96,16 +95,17 @@ PrivateL2::access(const MemAccess &acc, Tick at)
         return res;
     }
 
-    // Miss: broadcast on the bus and snoop the other caches.
+    // Miss: broadcast on the bus and snoop the other caches (on a
+    // directory, only the ones it names; no peer gains a copy during
+    // this access, so the mask holds for every loop below).
     BusCmd cmd = acc.op == MemOp::Store ? BusCmd::BusRdX : BusCmd::BusRd;
     Tick tb = bus.transaction(cmd, c, baddr, t);
+    std::uint64_t peers = bus.snoopPeers(baddr, params.num_cores, c);
 
     bool any_dirty = false;
     bool any_clean = false;
     CoreId supplier = invalid_id;
-    for (CoreId o = 0; o < params.num_cores; ++o) {
-        if (o == c)
-            continue;
+    forEachCore(peers, [&](CoreId o) {
         if (Block *ob = caches[o].find(baddr)) {
             if (isDirty(ob->state)) {
                 any_dirty = true;
@@ -116,7 +116,7 @@ PrivateL2::access(const MemAccess &acc, Tick at)
                     supplier = o;
             }
         }
-    }
+    });
 
     AccessClass cls = any_dirty ? AccessClass::RWSMiss
                       : any_clean ? AccessClass::ROSMiss
@@ -130,12 +130,10 @@ PrivateL2::access(const MemAccess &acc, Tick at)
         Tick sg = ports[supplier]->acquire(tb, params.occupancy);
         data_at = sg + params.latency;
 
-        for (CoreId o = 0; o < params.num_cores; ++o) {
-            if (o == c)
-                continue;
+        forEachCore(peers, [&](CoreId o) {
             Block *ob = caches[o].find(baddr);
             if (!ob)
-                continue;
+                return;
             if (cmd == BusCmd::BusRdX) {
                 invalidateCopy(o, ob, obs::TransCause::BusRdX, tb);
             } else {
@@ -156,7 +154,7 @@ PrivateL2::access(const MemAccess &acc, Tick at)
                 // silent-store rights.
                 downgradeL1(o, baddr, false);
             }
-        }
+        });
     } else {
         data_at = memory.read(tb);
     }
@@ -244,10 +242,14 @@ void
 PrivateL2::checkBlockInvariants(Addr addr) const
 {
     Addr baddr = blockAlign(addr, params.block_size);
+    std::uint64_t targets = bus.snoopTargets(baddr);
     int valid = 0, priv = 0;
     for (int c = 0; c < params.num_cores; ++c) {
         if (const Block *b = caches[c].find(baddr)) {
             cnsim_assert(isValid(b->state), "valid block in state I");
+            cnsim_assert(targets >> c & 1,
+                         "core%d holds %llx outside snoopTargets", c,
+                         static_cast<unsigned long long>(baddr));
             ++valid;
             priv += isPrivateState(b->state) ? 1 : 0;
         }

@@ -50,9 +50,9 @@ UpdateL2::access(const MemAccess &acc, Tick at)
             Tick tb = bus.transaction(BusCmd::BusUpd, c, baddr, t);
             n_updates.inc();
             bool still_shared = false;
-            for (CoreId o = 0; o < params.num_cores; ++o) {
-                if (o == c)
-                    continue;
+            std::uint64_t peers =
+                bus.snoopPeers(baddr, params.num_cores, c);
+            forEachCore(peers, [&](CoreId o) {
                 if (Block *ob = caches[o].find(baddr)) {
                     still_shared = true;
                     ob->owner = false;
@@ -62,7 +62,7 @@ UpdateL2::access(const MemAccess &acc, Tick at)
                     // updated L2 copy).
                     invalidateL1(o, baddr);
                 }
-            }
+            });
             if (still_shared) {
                 emitTrans(tb, c, baddr, CohState::Shared,
                           CohState::Shared, obs::TransCause::PrWr,
@@ -93,16 +93,17 @@ UpdateL2::access(const MemAccess &acc, Tick at)
         return res;
     }
 
-    // Miss: fetch the block; with updates, peers keep their copies.
+    // Miss: fetch the block; with updates, peers keep their copies. No
+    // peer gains a copy during this access, so the snooped mask holds
+    // for every loop below.
     BusCmd cmd = acc.op == MemOp::Store ? BusCmd::BusRdX : BusCmd::BusRd;
     Tick tb = bus.transaction(cmd, c, baddr, t);
+    std::uint64_t peers = bus.snoopPeers(baddr, params.num_cores, c);
 
     bool any_dirty = false;
     bool any_copy = false;
     CoreId supplier = invalid_id;
-    for (CoreId o = 0; o < params.num_cores; ++o) {
-        if (o == c)
-            continue;
+    forEachCore(peers, [&](CoreId o) {
         if (Block *ob = caches[o].find(baddr)) {
             any_copy = true;
             if (ob->owner || isDirty(ob->state))
@@ -110,7 +111,7 @@ UpdateL2::access(const MemAccess &acc, Tick at)
             if (supplier == invalid_id || ob->owner)
                 supplier = o;
         }
-    }
+    });
 
     AccessClass cls = any_dirty ? AccessClass::RWSMiss
                       : any_copy ? AccessClass::ROSMiss
@@ -142,11 +143,10 @@ UpdateL2::access(const MemAccess &acc, Tick at)
         caches[c].invalidate(v);
     }
     bool shared_now = any_copy;
-    for (CoreId o = 0; o < params.num_cores && shared_now; ++o) {
-        if (o == c)
-            continue;
-        if (Block *ob = caches[o].find(baddr)) {
-            if (isPrivateState(ob->state)) {
+    if (shared_now) {
+        forEachCore(peers, [&](CoreId o) {
+            Block *ob = caches[o].find(baddr);
+            if (ob && isPrivateState(ob->state)) {
                 emitTrans(data_at, o, baddr, ob->state, CohState::Shared,
                           cmd == BusCmd::BusRdX ? obs::TransCause::BusRdX
                                                 : obs::TransCause::BusRd);
@@ -154,7 +154,7 @@ UpdateL2::access(const MemAccess &acc, Tick at)
                 ob->state = CohState::Shared;
                 downgradeL1(o, baddr, true);
             }
-        }
+        });
     }
     CohState fill_state = shared_now ? CohState::Shared
                           : acc.op == MemOp::Store ? CohState::Modified
@@ -174,14 +174,12 @@ UpdateL2::access(const MemAccess &acc, Tick at)
             n_updates.inc();
             emitTrans(tu, c, baddr, CohState::Shared, CohState::Shared,
                       obs::TransCause::PrWr, obs::trans_flag_broadcast);
-            for (CoreId o = 0; o < params.num_cores; ++o) {
-                if (o == c)
-                    continue;
+            forEachCore(peers, [&](CoreId o) {
                 if (Block *ob = caches[o].find(baddr)) {
                     ob->owner = false;
                     invalidateL1(o, baddr);
                 }
-            }
+            });
             v->owner = true;
             data_at = tu;
             res.l1WriteThrough = true;
@@ -255,10 +253,14 @@ void
 UpdateL2::checkBlockInvariants(Addr addr) const
 {
     Addr baddr = blockAlign(addr, params.block_size);
+    std::uint64_t targets = bus.snoopTargets(baddr);
     int copies = 0, owners = 0, priv = 0;
     for (int o = 0; o < params.num_cores; ++o) {
         if (const Block *ob = caches[o].find(baddr)) {
             cnsim_assert(isValid(ob->state), "valid block in state I");
+            cnsim_assert(targets >> o & 1,
+                         "core%d holds %llx outside snoopTargets", o,
+                         static_cast<unsigned long long>(baddr));
             ++copies;
             owners += ob->owner ? 1 : 0;
             priv += isPrivateState(ob->state) ? 1 : 0;

@@ -73,6 +73,13 @@ class SnoopBus : public Interconnect
     void postedTransaction(BusCmd cmd, CoreId src, Addr addr,
                            Tick at) override;
 
+    /** A broadcast reaches every snooper: every core, the paper's
+     *  bus unchanged. */
+    [[nodiscard]] std::uint64_t snoopTargets(Addr) const override
+    {
+        return ~std::uint64_t{0};
+    }
+
     void regStats(StatGroup &group) override;
     void resetStats() override;
 

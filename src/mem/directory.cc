@@ -67,16 +67,16 @@ Tick
 DirectoryInterconnect::fanOut(std::uint64_t mask, CoreId skip, int home,
                               Tick at, bool acks)
 {
+    if (skip != invalid_id)
+        mask &= ~(std::uint64_t{1} << skip);
     Tick done = at;
-    for (int c = 0; c < net.nodes(); ++c) {
-        if (!(mask & (1ull << c)) || c == skip)
-            continue;
+    forEachCore(mask & coreMask(net.nodes()), [&](CoreId c) {
         Tick arrive = net.send(home, c, at);
         if (acks)
             done = std::max(done, net.send(c, home, arrive));
         else
             done = std::max(done, arrive);
-    }
+    });
     return acks ? done : at;
 }
 

@@ -104,6 +104,13 @@ class DirectoryInterconnect : public Interconnect
         return true;
     }
 
+    /** The home entry's sharer bitset, which covers every valid copy
+     *  (the auditor's directory reading). */
+    [[nodiscard]] std::uint64_t snoopTargets(Addr addr) const override
+    {
+        return sharersOf(addr);
+    }
+
     void regStats(StatGroup &group) override;
     void resetStats() override;
     void attachSink(obs::TraceSink *s) override;

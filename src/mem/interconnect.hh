@@ -4,9 +4,10 @@
  *
  * The paper's platform couples the L2 organizations through a snooping
  * bus; past a handful of cores the bus serializes every coherence
- * action and becomes the scalability wall (ROADMAP item 1). This
- * interface lets the protocol-owning L2 organizations issue the same
- * logical transactions against either fabric:
+ * action and becomes the scalability wall (the scaling study in
+ * DESIGN.md 3h). This interface lets the protocol-owning L2
+ * organizations issue the same logical transactions against either
+ * fabric:
  *
  *  - SnoopBus (mem/bus.hh): the paper's pipelined split-transaction
  *    bus. Timing and accounting only; `src`/`addr` are ignored, so the
@@ -21,12 +22,15 @@
  * timing, ordering, and per-command accounting. The directory
  * additionally mirrors sharer membership from the (cmd, src, addr)
  * stream, which is why the org-facing entry points carry the requestor
- * and block address.
+ * and block address, and hands that membership back through
+ * snoopTargets() so the organizations probe only the cores that may
+ * hold a block.
  */
 
 #ifndef CNSIM_MEM_INTERCONNECT_HH
 #define CNSIM_MEM_INTERCONNECT_HH
 
+#include <bit>
 #include <cstdint>
 
 #include "common/logging.hh"
@@ -66,6 +70,27 @@ toString(InterconnectKind k)
       case InterconnectKind::Ring: return "ring";
     }
     cnsim_unreachable("InterconnectKind");
+}
+
+/** Bitset naming cores 0 .. @p n - 1, for 0 <= n <= 64 (n = 64 sets
+ *  every bit without the undefined 1 << 64). */
+constexpr std::uint64_t
+coreMask(int n)
+{
+    return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+}
+
+/**
+ * Call @p fn(core) for each set bit of @p mask, lowest core first --
+ * the order a loop over every core visits them, so a loop narrowed to
+ * Interconnect::snoopTargets() sees the same cores in the same order.
+ */
+template <typename Fn>
+void
+forEachCore(std::uint64_t mask, Fn &&fn)
+{
+    for (; mask != 0; mask &= mask - 1)
+        fn(static_cast<CoreId>(std::countr_zero(mask)));
 }
 
 /** Timing/accounting model of the coherence interconnect. */
@@ -117,6 +142,25 @@ class Interconnect
     [[nodiscard]] virtual bool wantsEvictionNotices() const
     {
         return false;
+    }
+
+    /**
+     * @return a superset of the cores that may hold @p addr's block,
+     * one bit per core. The snooping bus broadcasts, so it names every
+     * core; a directory names the block's sharers. Organizations walk
+     * this mask (forEachCore) instead of probing every core, so it must
+     * never omit a holder -- the auditor's directory reading checks
+     * exactly that after every access.
+     */
+    [[nodiscard]] virtual std::uint64_t snoopTargets(Addr addr) const = 0;
+
+    /** snoopTargets(@p addr) narrowed to cores 0 .. @p cores - 1 and
+     *  without @p self (invalid_id keeps every core). */
+    [[nodiscard]] std::uint64_t
+    snoopPeers(Addr addr, int cores, CoreId self = invalid_id) const
+    {
+        std::uint64_t m = snoopTargets(addr) & coreMask(cores);
+        return self == invalid_id ? m : m & ~(std::uint64_t{1} << self);
     }
 
     virtual void regStats(StatGroup &group) = 0;

@@ -17,7 +17,9 @@
  *
  * Routing is deterministic dimension-ordered XY (X first, then Y) in
  * the mesh and shortest-direction (ties clockwise) in the ring, so
- * results are bit-identical for any --jobs.
+ * results are bit-identical for any --jobs. Routes depend only on the
+ * geometry, so the constructor lays every (src, dst) route out once as
+ * a list of link pointers and send() just walks it.
  */
 
 #ifndef CNSIM_MEM_NOC_HH
@@ -25,6 +27,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/stats.hh"
@@ -102,6 +105,9 @@ class Noc
     /** Directed link leaving @p node towards @p dir (0=E 1=W 2=N 3=S). */
     Resource &link(int node, int dir);
 
+    /** The links from @p src to @p dst, in traversal order. */
+    [[nodiscard]] std::span<Resource *const> route(int src, int dst) const;
+
     InterconnectKind _kind;
     NocParams p;
     int n_nodes;
@@ -109,6 +115,11 @@ class Noc
     int h;
     /** Directed links indexed node * 4 + dir; null where no neighbor. */
     std::vector<std::unique_ptr<Resource>> links;
+    /** Every route's links in traversal order, routes back to back. */
+    std::vector<Resource *> route_links;
+    /** Route src * nodes + dst spans route_links[route_start[r] ..
+     *  route_start[r + 1]). */
+    std::vector<std::uint32_t> route_start;
     Counter n_msgs;
     Counter n_hops;
 };

@@ -105,12 +105,11 @@ CmpNurapid::SnoopResult
 CmpNurapid::snoop(CoreId requestor, Addr addr) const
 {
     SnoopResult sr;
-    for (int o = 0; o < params.num_cores; ++o) {
-        if (o == requestor)
-            continue;
+    std::uint64_t peers = bus.snoopPeers(addr, params.num_cores, requestor);
+    forEachCore(peers, [&](CoreId o) {
         const TagEntry *te = tags[o]->find(addr);
         if (!te)
-            continue;
+            return;
         if (isDirty(te->state)) {
             // The dirty signal: an M or C copy exists. The dirty
             // responder's pointer wins over any clean one.
@@ -124,7 +123,7 @@ CmpNurapid::snoop(CoreId requestor, Addr addr) const
                 sr.supplier_fwd = te->fwd;
             }
         }
-    }
+    });
     return sr;
 }
 
@@ -132,13 +131,13 @@ std::vector<FwdPtr>
 CmpNurapid::framesOf(Addr addr) const
 {
     std::vector<FwdPtr> out;
-    for (int c = 0; c < params.num_cores; ++c) {
+    forEachCore(bus.snoopPeers(addr, params.num_cores), [&](CoreId c) {
         const TagEntry *te = tags[c]->find(addr);
         if (te && te->fwd.valid() &&
             std::find(out.begin(), out.end(), te->fwd) == out.end()) {
             out.push_back(te->fwd);
         }
-    }
+    });
     return out;
 }
 
@@ -169,7 +168,7 @@ CmpNurapid::evictSharedFrame(const FwdPtr &fwd, Tick at)
     n_bus_repl.inc();
     trace("BusRepl %llx from dg%d frame %d",
           static_cast<unsigned long long>(addr), fwd.dgroup, fwd.frame);
-    for (int c = 0; c < params.num_cores; ++c) {
+    forEachCore(bus.snoopPeers(addr, params.num_cores), [&](CoreId c) {
         TagEntry *te = tags[c]->find(addr);
         if (te && te->fwd == fwd) {
             // Emit before asserting so an auditing run dies with the
@@ -191,7 +190,7 @@ CmpNurapid::evictSharedFrame(const FwdPtr &fwd, Tick at)
             if (bus.wantsEvictionNotices())
                 bus.postedTransaction(BusCmd::DirPut, c, addr, at);
         }
-    }
+    });
     emitDGroup(at, f.rev.core, addr, obs::DGroupOp::Eviction, fwd.dgroup);
     data.free(fwd.dgroup, fwd.frame);
     n_shared_evictions.inc();
@@ -391,9 +390,7 @@ CmpNurapid::repointAllSharers(Addr addr, const FwdPtr &fwd,
     // Existing sharers (the old owner included) move to C first and
     // the initiator joins last, so an auditor watching the transition
     // stream never sees a joined C copy coexist with a private one.
-    for (int c = 0; c < params.num_cores; ++c)
-        if (c != except_l1)
-            repoint(c);
+    forEachCore(bus.snoopPeers(addr, params.num_cores, except_l1), repoint);
     repoint(except_l1);
 }
 
@@ -491,9 +488,12 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             } else {
                 // Write to a clean shared block: BusUpg.
                 Tick tb = bus.transaction(BusCmd::BusUpg, c, baddr, t);
+                std::uint64_t peers =
+                    bus.snoopPeers(baddr, params.num_cores, c);
                 bool others = false;
-                for (int o = 0; o < params.num_cores && !others; ++o)
-                    others = o != c && tags[o]->find(baddr) != nullptr;
+                forEachCore(peers, [&](CoreId o) {
+                    others = others || tags[o]->find(baddr) != nullptr;
+                });
 
                 if (others && params.enable_isc) {
                     // In-situ communication: one dirty copy (ours),
@@ -521,9 +521,7 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                     // disabled): we become the sole M copy in our
                     // closest d-group.
                     std::vector<FwdPtr> old = framesOf(baddr);
-                    for (int o = 0; o < params.num_cores; ++o) {
-                        if (o == c)
-                            continue;
+                    forEachCore(peers, [&](CoreId o) {
                         if (TagEntry *te = tags[o]->find(baddr)) {
                             emitTrans(tb, o, baddr, te->state,
                                       CohState::Invalid,
@@ -535,7 +533,7 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                                 bus.postedTransaction(BusCmd::DirPut, o,
                                                       baddr, tb);
                         }
-                    }
+                    });
                     for (const FwdPtr &f : old)
                         data.free(f.dgroup, f.frame);
                     FwdPtr nf = placeInClosest(c, invalid_id);
@@ -573,10 +571,12 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                 emitTrans(tb, c, baddr, CohState::Communication,
                           CohState::Communication, obs::TransCause::PrWr,
                           obs::trans_flag_broadcast);
-                for (int o = 0; o < params.num_cores; ++o) {
-                    if (o != c && tags[o]->find(baddr))
+                std::uint64_t peers =
+                    bus.snoopPeers(baddr, params.num_cores, c);
+                forEachCore(peers, [&](CoreId o) {
+                    if (tags[o]->find(baddr))
                         invalidateL1(o, baddr);
-                }
+                });
                 td = accessDGroup(c, dg, tb);
             } else {
                 td = accessDGroup(c, dg, t);
@@ -682,16 +682,15 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             // Clean copy on chip: controlled replication returns a
             // pointer on the pointer wires instead of the data block;
             // we make a tag copy but no data copy (Figure 3b).
-            for (int o = 0; o < params.num_cores; ++o) {
-                if (o == c)
-                    continue;
+            std::uint64_t peers = bus.snoopPeers(baddr, params.num_cores, c);
+            forEachCore(peers, [&](CoreId o) {
                 TagEntry *te = tags[o]->find(baddr);
                 if (te && te->state == CohState::Exclusive) {
                     emitTrans(tb, o, baddr, CohState::Exclusive,
                               CohState::Shared, obs::TransCause::BusRd);
                     te->state = CohState::Shared;
                 }
-            }
+            });
             Tick tr = accessDGroup(c, sr.supplier_fwd.dgroup, tb);
             if (params.enable_cr &&
                 params.replication != ReplicationPolicy::OnFirstUse) {
@@ -759,9 +758,8 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                 n_writebacks.inc();
             }
             std::vector<FwdPtr> old = framesOf(baddr);
-            for (int o = 0; o < params.num_cores; ++o) {
-                if (o == c)
-                    continue;
+            std::uint64_t peers = bus.snoopPeers(baddr, params.num_cores, c);
+            forEachCore(peers, [&](CoreId o) {
                 if (TagEntry *te = tags[o]->find(baddr)) {
                     emitTrans(tb, o, baddr, te->state, CohState::Invalid,
                               obs::TransCause::BusRdX);
@@ -772,7 +770,7 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                         bus.postedTransaction(BusCmd::DirPut, o, baddr,
                                               tb);
                 }
-            }
+            });
             for (const FwdPtr &f : old)
                 data.free(f.dgroup, f.frame);
             FwdPtr nf = placeInClosest(c, freed_dg);
@@ -928,6 +926,7 @@ CmpNurapid::checkBlockInvariants(Addr addr) const
     // after every access under --audit: pointer agreement and MESIC
     // state rules for one block.
     Addr baddr = blockAlign(addr, params.block_size);
+    std::uint64_t targets = bus.snoopTargets(baddr);
     int tag_copies = 0;
     int s_copies = 0;
     int c_copies = 0;
@@ -939,6 +938,9 @@ CmpNurapid::checkBlockInvariants(Addr addr) const
             continue;
         ++tag_copies;
         cnsim_assert(isValid(te->state), "valid tag of %llx in state I",
+                     static_cast<unsigned long long>(baddr));
+        cnsim_assert(targets >> c & 1,
+                     "core%d holds %llx outside snoopTargets", c,
                      static_cast<unsigned long long>(baddr));
         cnsim_assert(te->fwd.valid(), "valid tag of %llx without fwd ptr",
                      static_cast<unsigned long long>(baddr));

@@ -173,7 +173,8 @@ class CmpNurapid : public L2Org
     std::function<void(const std::string &)> traceHook;
 
   private:
-    /** Result of snooping all other tag arrays for a block. */
+    /** Result of snooping the other tag arrays for a block (those
+     *  the interconnect's snoopTargets() names). */
     struct SnoopResult
     {
         bool dirty = false;      //!< dirty-signal line: M or C copy exists

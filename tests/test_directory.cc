@@ -339,6 +339,119 @@ TEST(DirectoryEquivalence, NurapidMesicMatchesBusAt8Cores)
                                               CohMode::Mesic, 127);
 }
 
+TEST(SnoopTargets, BusNamesEveryCoreDirectoryNamesItsSharers)
+{
+    EXPECT_EQ(coreMask(0), 0u);
+    EXPECT_EQ(coreMask(4), 0xfu);
+    EXPECT_EQ(coreMask(63), ~0ull >> 1);
+    EXPECT_EQ(coreMask(64), ~0ull);
+
+    SnoopBus bus;
+    EXPECT_EQ(bus.snoopPeers(0x1000, 64), ~0ull);
+    EXPECT_EQ(bus.snoopPeers(0x1000, 4, 1), 0xdu);
+    EXPECT_EQ(bus.snoopPeers(0x1000, 64, 63), ~0ull >> 1);
+
+    DirectoryInterconnect d(InterconnectKind::Mesh, 64, blk, CohMode::Mesi);
+    EXPECT_EQ(d.snoopTargets(0x1000), 0u);
+    (void)d.transaction(BusCmd::BusRd, 63, 0x1000, 0);
+    (void)d.transaction(BusCmd::BusRd, 2, 0x1000, 100);
+    EXPECT_EQ(d.snoopTargets(0x1000 + blk - 1), (1ull << 63) | 0x4u);
+    EXPECT_EQ(d.snoopPeers(0x1000, 64, 2), 1ull << 63);
+
+    std::vector<CoreId> seen;
+    forEachCore((1ull << 63) | 0x21u, [&](CoreId c) { seen.push_back(c); });
+    EXPECT_EQ(seen, (std::vector<CoreId>{0, 5, 63}));
+}
+
+/**
+ * Drive a random stream through one organization over the mesh
+ * directory and, in lockstep, through a twin on the snooping bus. After
+ * every access, every core holding any block of the pool must be in
+ * the directory's snoopTargets() -- the one assumption the filtered
+ * snoop loops rest on -- and the twins must classify the access alike,
+ * so probing only the named cores finds what the broadcast finds.
+ */
+template <typename OrgT, typename ParamsT>
+void
+expectSnoopTargetsCoverHolders(const ParamsT &params, int cores,
+                               CohMode mode, std::uint64_t seed)
+{
+    constexpr std::uint32_t pool = 160;
+    MainMemory m1, m2;
+    SnoopBus bus;
+    DirectoryInterconnect dir(InterconnectKind::Mesh, cores, blk, mode);
+    OrgT on_bus(params, bus, m1);
+    OrgT on_dir(params, dir, m2);
+    on_bus.setL1Hooks([](CoreId, Addr) {}, [](CoreId, Addr, bool) {});
+    on_dir.setL1Hooks([](CoreId, Addr) {}, [](CoreId, Addr, bool) {});
+
+    auto stream = randomStream(seed, 1500, cores, pool, 0.3);
+    Tick t = 0;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        AccessResult ra = on_bus.access(stream[i], t);
+        AccessResult rb = on_dir.access(stream[i], t);
+        ASSERT_EQ(ra.cls, rb.cls)
+            << "access " << i << " addr " << std::hex << stream[i].addr;
+        for (std::uint32_t b = 0; b < pool; ++b) {
+            Addr addr = static_cast<Addr>(b) * blk;
+            std::uint64_t targets = dir.snoopTargets(addr);
+            for (CoreId c = 0; c < cores; ++c) {
+                if (isValid(on_dir.stateOf(c, addr))) {
+                    ASSERT_TRUE(targets >> c & 1)
+                        << "after access " << i << " core " << c
+                        << " holds " << std::hex << addr
+                        << " outside snoopTargets 0x" << targets;
+                }
+            }
+        }
+        t += 300;
+    }
+    on_dir.checkInvariants();
+    EXPECT_GT(dir.count(BusCmd::DirPut), 0u);
+}
+
+PrivateL2Params
+tinyPrivate(int cores)
+{
+    // 32 blocks a core against a 160-block pool: replacements, and so
+    // the eviction notices that trim the sharer sets, happen throughout.
+    PrivateL2Params p = smallPrivate(cores);
+    p.capacity_per_core = 32 * blk;
+    return p;
+}
+
+NurapidParams
+nurapidNoIsc(int cores)
+{
+    NurapidParams p = smallNurapid(cores);
+    p.enable_isc = false;
+    return p;
+}
+
+TEST(SnoopTargets, CoverEveryHolderAfterEveryAccessAt16Cores)
+{
+    expectSnoopTargetsCoverHolders<PrivateL2>(tinyPrivate(16), 16,
+                                              CohMode::Mesi, 131);
+    expectSnoopTargetsCoverHolders<UpdateL2>(tinyPrivate(16), 16,
+                                             CohMode::WriteUpdate, 137);
+    expectSnoopTargetsCoverHolders<CmpNurapid>(smallNurapid(16), 16,
+                                               CohMode::Mesic, 139);
+    expectSnoopTargetsCoverHolders<CmpNurapid>(nurapidNoIsc(16), 16,
+                                               CohMode::Mesi, 149);
+}
+
+TEST(SnoopTargets, CoverEveryHolderAfterEveryAccessAt64Cores)
+{
+    expectSnoopTargetsCoverHolders<PrivateL2>(tinyPrivate(64), 64,
+                                              CohMode::Mesi, 151);
+    expectSnoopTargetsCoverHolders<UpdateL2>(tinyPrivate(64), 64,
+                                             CohMode::WriteUpdate, 157);
+    expectSnoopTargetsCoverHolders<CmpNurapid>(smallNurapid(64), 64,
+                                               CohMode::Mesic, 163);
+    expectSnoopTargetsCoverHolders<CmpNurapid>(nurapidNoIsc(64), 64,
+                                               CohMode::Mesi, 167);
+}
+
 TEST(DirectoryEquivalence, AuditorChecksDirectoryReadingsCleanly)
 {
     // CMP-NuRAPID at 8 cores over the mesh with the full MESIC auditor

@@ -1,13 +1,16 @@
 /**
  * @file
  * Mesh/ring NoC tests: geometry factorization, XY and ring routing,
- * hop-count symmetry, per-link contention, and determinism.
+ * hop-count symmetry, per-link contention, determinism, and the
+ * precomputed route table against a hop-by-hop reference walk.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "mem/noc.hh"
 
@@ -133,6 +136,135 @@ TEST(Noc, RegStatsExposesAggregateAndLinkCounters)
     EXPECT_NE(dump.find("noc.msgs"), std::string::npos);
     EXPECT_NE(dump.find("noc.hops"), std::string::npos);
     EXPECT_NE(dump.find("noc.n0.e"), std::string::npos);
+}
+
+/** One directed link of a route: the node it leaves and its heading. */
+struct RefLink
+{
+    int node;
+    const char *dir;
+};
+
+/**
+ * The route a message must take from @p src to @p dst, walked one hop
+ * at a time from the routing rules: X then Y on a @p w wide mesh; the
+ * shorter way round an @p n node ring, east on a tie.
+ */
+std::vector<RefLink>
+referenceRoute(InterconnectKind kind, int n, int w, int src, int dst)
+{
+    std::vector<RefLink> route;
+    int node = src;
+    while (node != dst) {
+        if (kind == InterconnectKind::Ring) {
+            int east_hops = (dst - node + n) % n;
+            if (2 * east_hops <= n) {
+                route.push_back({node, "e"});
+                node = (node + 1) % n;
+            } else {
+                route.push_back({node, "w"});
+                node = (node + n - 1) % n;
+            }
+        } else if (node % w < dst % w) {
+            route.push_back({node, "e"});
+            node += 1;
+        } else if (node % w > dst % w) {
+            route.push_back({node, "w"});
+            node -= 1;
+        } else if (node / w < dst / w) {
+            route.push_back({node, "s"});
+            node += w;
+        } else {
+            route.push_back({node, "n"});
+            node -= w;
+        }
+    }
+    return route;
+}
+
+/** Grants summed over every link registered in @p g. */
+std::uint64_t
+totalLinkGrants(const StatGroup &g)
+{
+    const std::string suffix = ".grants";
+    std::uint64_t sum = 0;
+    g.forEachCounter([&](const std::string &name, const Counter *c) {
+        if (name.size() > suffix.size() &&
+            name.compare(name.size() - suffix.size(), suffix.size(),
+                         suffix) == 0)
+            sum += c->value();
+    });
+    return sum;
+}
+
+/**
+ * Send every (src, dst) message of an @p n node fabric through the
+ * route table, one at a time on an idle network, and hold it to the
+ * reference walk: the same hop count, the same idle arrival tick, the
+ * same links (each granted once, no other link touched) and the same
+ * hops() tally. Then send a one-hop message over the route's last link
+ * timed to reach it with the first message: it must queue behind it.
+ */
+void
+expectRoutesMatchReference(InterconnectKind kind, int n)
+{
+    NocParams p;
+    p.hop_latency = 2;
+    p.router_delay = 3;
+    p.link_occupancy = 4;
+    const Tick per_hop = p.hop_latency + p.router_delay;
+    Noc noc(kind, n, p);
+    StatGroup g("noc");
+    noc.regStats(g);
+
+    Tick at = 0;
+    for (int s = 0; s < n; ++s) {
+        for (int d = 0; d < n; ++d) {
+            SCOPED_TRACE(strfmt("%s of %d nodes, route %d -> %d",
+                                toString(kind), n, s, d));
+            std::vector<RefLink> ref =
+                referenceRoute(kind, n, noc.width(), s, d);
+            Tick hops = ref.size();
+            ASSERT_EQ(noc.hopCount(s, d), static_cast<int>(hops));
+
+            noc.resetStats();
+            Tick arrive = noc.send(s, d, at);
+            EXPECT_EQ(arrive, at + p.router_delay + hops * per_hop);
+            EXPECT_EQ(noc.messages(), 1u);
+            EXPECT_EQ(noc.hops(), hops);
+            for (const RefLink &l : ref)
+                EXPECT_EQ(g.counter(strfmt("noc.n%d.%s.grants", l.node,
+                                           l.dir))
+                              .value(),
+                          1u)
+                    << "link n" << l.node << "." << l.dir;
+            EXPECT_EQ(totalLinkGrants(g), hops);
+
+            if (hops > 0) {
+                // The last link leaves the second-to-last node; a
+                // one-hop message injected there reaches that link in
+                // the same tick as the first message and must wait out
+                // its occupancy.
+                Tick last_link_at = at + (hops - 1) * per_hop;
+                Tick queued = noc.send(ref.back().node, d, last_link_at);
+                EXPECT_EQ(queued, arrive + p.link_occupancy);
+            }
+            // Far enough apart that every link is idle again.
+            at += 1000;
+        }
+    }
+}
+
+TEST(Noc, RouteTableMatchesReferenceWalkOnMeshes)
+{
+    for (int n : {1, 2, 8, 13, 16, 64})
+        expectRoutesMatchReference(InterconnectKind::Mesh, n);
+}
+
+TEST(Noc, RouteTableMatchesReferenceWalkOnRings)
+{
+    for (int n : {2, 5, 8, 13})
+        expectRoutesMatchReference(InterconnectKind::Ring, n);
 }
 
 } // namespace
