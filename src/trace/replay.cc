@@ -384,10 +384,16 @@ ReplaySource::advanceTo(std::size_t idx)
 TraceRecord
 ReplaySource::next()
 {
-    if (off == cur->nRecords())
+    std::uint32_t n = cur->nRecords();
+    if (off == n) {
         advanceTo(chunk_idx + 1);
+        n = cur->nRecords();
+    }
     ++n_consumed;
-    return cur->records[off++];
+    const TraceRecord *recs = cur->records.data();
+    if (off + prefetch_distance < n)
+        __builtin_prefetch(recs + off + prefetch_distance);
+    return recs[off++];
 }
 
 void

@@ -19,10 +19,19 @@
  * (~25 ns each on the baseline host), which capped a replay-backed
  * sweep at parity with regenerating the stream in every cell. A flat
  * TraceRecord array trades ~3x the trace memory (24 B/record vs ~8 B
- * packed, a few MB for the paper budgets) for a decode-free hot path
- * that the hardware prefetcher streams. The varint codec below
- * survives only at the file boundary: CNTRF001 payloads are packed on
- * save and decoded (with validation) once on load.
+ * packed) for a decode-free hot path. That memory is not small: the
+ * Fig. 10 sweep at 2M + 8M instructions per core holds three streams
+ * of 4 x 245760 records, about 68 MiB, most of its peak RSS. The
+ * varint codec below survives only at the file boundary: CNTRF001
+ * payloads are packed on save and decoded (with validation) once on
+ * load.
+ *
+ * The hardware prefetchers do not hide those reads. One load site in
+ * ReplaySource::next serves every core's stream in turn, each at its
+ * own address, so that load shows no single stride, and each new host
+ * line of a stream is a demand miss on the simulator's critical path.
+ * next() therefore prefetches a fixed distance ahead in software; that
+ * the software prefetch removes the stall supports this reading.
  *
  * Canonical generation order. The synthetic model keeps cross-thread
  * state (the ROS/RWS recently-used registries), so per-core streams
@@ -35,7 +44,7 @@
  * host.
  *
  * Record encoding (the payload CNTRF001 files transport, ~8 B/record
- * for the paper workloads vs 21 B flat):
+ * for the paper workloads vs 24 B flat):
  *   varint(gap * 4 + op)                  op: 0 load, 1 store, 2 ifetch
  *   varint(zigzag(iaddr - prev_iaddr))
  *   varint(zigzag(addr - prev_addr))
@@ -240,6 +249,16 @@ class RecordedTrace
 class ReplaySource final : public TraceSource
 {
   public:
+    /**
+     * How many records ahead of the cursor next() prefetches, within
+     * the current chunk only: 16 records are 384 B, six host lines.
+     * Measured, not tuned per run: on a 4-CPU Xeon (GCC 12.2,
+     * RelWithDebInfo+LTO), in 6 rotating ledger rounds per workload,
+     * 8 ran fig10-sweep 5% slower than 16 (winning 1 round of 6) and
+     * fig12-obs 4% faster, and 32 stayed within 2% of 16 everywhere.
+     */
+    static constexpr std::uint32_t prefetch_distance = 16;
+
     ReplaySource(RecordedTrace &trace, int core);
 
     TraceRecord next() override;

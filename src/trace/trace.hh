@@ -18,18 +18,26 @@ namespace cnsim
  * One unit of work for an in-order core: @p gap non-memory instructions
  * (1 cycle each), an instruction fetch at @p iaddr, then one data
  * reference.
+ *
+ * The two 4 B fields lead so the record packs into 24 B with no
+ * padding: replayed streams are flat arrays of these, so record size
+ * is their memory footprint. The order also guards initializers: a
+ * positional {gap, iaddr, addr, op} fails to compile, because an
+ * address cannot initialize `op`, instead of swapping fields.
  */
 struct TraceRecord
 {
     /** Non-memory instructions executed before this reference. */
     std::uint32_t gap = 0;
+    /** Load or Store. */
+    MemOp op = MemOp::Load;
     /** Instruction-fetch address for this record's code. */
     Addr iaddr = 0;
     /** Data address referenced. */
     Addr addr = 0;
-    /** Load or Store. */
-    MemOp op = MemOp::Load;
 };
+
+static_assert(sizeof(TraceRecord) == 24, "TraceRecord must stay unpadded");
 
 /** What a fast-forward consumed: see TraceSource::skipInstructions. */
 struct SkipResult

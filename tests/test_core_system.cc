@@ -25,14 +25,16 @@ class ScriptSource : public TraceSource
     void
     push(Addr addr, MemOp op, std::uint32_t gap = 0, Addr iaddr = 0)
     {
-        script.push_back(TraceRecord{gap, iaddr, addr, op});
+        script.push_back(TraceRecord{
+            .gap = gap, .op = op, .iaddr = iaddr, .addr = addr});
     }
 
     TraceRecord
     next() override
     {
         if (script.empty())
-            return TraceRecord{100, 0, idle_addr, MemOp::Load};
+            return TraceRecord{
+                .gap = 100, .op = MemOp::Load, .addr = idle_addr};
         TraceRecord r = script.front();
         script.pop_front();
         return r;
@@ -54,7 +56,7 @@ paperSystem(L2Kind kind)
 TEST(System, L1FiltersRepeatedLoads)
 {
     System sys(paperSystem(L2Kind::Shared));
-    TraceRecord r{0, 0, 0x1000, MemOp::Load};
+    TraceRecord r{.op = MemOp::Load, .addr = 0x1000};
     sys.access(0, r, 0);  // L1 miss -> L2
     std::uint64_t l2_before = sys.l2().accesses();
     sys.access(0, r, 10000);
@@ -65,7 +67,7 @@ TEST(System, L1FiltersRepeatedLoads)
 TEST(System, L1HitLatencyIsThreeCycles)
 {
     System sys(paperSystem(L2Kind::Shared));
-    TraceRecord r{0, 0, 0x1000, MemOp::Load};
+    TraceRecord r{.op = MemOp::Load, .addr = 0x1000};
     sys.access(0, r, 0);
     Tick done = sys.access(0, r, 10000);
     EXPECT_EQ(done, 10003u);
@@ -74,7 +76,7 @@ TEST(System, L1HitLatencyIsThreeCycles)
 TEST(System, StoresRequireOwnershipOnce)
 {
     System sys(paperSystem(L2Kind::Private));
-    TraceRecord st{0, 0, 0x1000, MemOp::Store};
+    TraceRecord st{.op = MemOp::Store, .addr = 0x1000};
     sys.access(0, st, 0);  // miss: L2 grants ownership
     std::uint64_t l2_before = sys.l2().accesses();
     Tick done = sys.access(0, st, 10000);
@@ -86,8 +88,8 @@ TEST(System, StoresRequireOwnershipOnce)
 TEST(System, LoadsDoNotGrantStoreOwnership)
 {
     System sys(paperSystem(L2Kind::Private));
-    TraceRecord ld{0, 0, 0x1000, MemOp::Load};
-    TraceRecord st{0, 0, 0x1000, MemOp::Store};
+    TraceRecord ld{.op = MemOp::Load, .addr = 0x1000};
+    TraceRecord st{.op = MemOp::Store, .addr = 0x1000};
     sys.access(0, ld, 0);
     std::uint64_t l2_before = sys.l2().accesses();
     sys.access(0, st, 10000);  // must go to L2 for ownership
@@ -98,12 +100,12 @@ TEST(System, CBlocksWriteThroughEveryStore)
 {
     System sys(paperSystem(L2Kind::Nurapid));
     // Core 0 writes, core 1 reads: the block enters C.
-    sys.access(0, {0, 0, 0x1000, MemOp::Store}, 0);
-    sys.access(1, {0, 0, 0x1000, MemOp::Load}, 10000);
+    sys.access(0, {.op = MemOp::Store, .addr = 0x1000}, 0);
+    sys.access(1, {.op = MemOp::Load, .addr = 0x1000}, 10000);
     // Every subsequent store by core 0 reaches the L2 (write-through).
     std::uint64_t l2_before = sys.l2().accesses();
-    sys.access(0, {0, 0, 0x1000, MemOp::Store}, 20000);
-    sys.access(0, {0, 0, 0x1000, MemOp::Store}, 30000);
+    sys.access(0, {.op = MemOp::Store, .addr = 0x1000}, 20000);
+    sys.access(0, {.op = MemOp::Store, .addr = 0x1000}, 30000);
     EXPECT_EQ(sys.l2().accesses(), l2_before + 2);
 }
 
@@ -111,20 +113,20 @@ TEST(System, CoherenceInvalidatesRemoteL1)
 {
     System sys(paperSystem(L2Kind::Private));
     // Core 1 caches the block in its L1.
-    sys.access(1, {0, 0, 0x1000, MemOp::Load}, 0);
+    sys.access(1, {.op = MemOp::Load, .addr = 0x1000}, 0);
     std::uint64_t l2_before = sys.l2().accesses();
-    sys.access(1, {0, 0, 0x1000, MemOp::Load}, 5000);
+    sys.access(1, {.op = MemOp::Load, .addr = 0x1000}, 5000);
     EXPECT_EQ(sys.l2().accesses(), l2_before);  // L1 hit
     // Core 0 writes: core 1's L1 copy must be invalidated.
-    sys.access(0, {0, 0, 0x1000, MemOp::Store}, 10000);
-    sys.access(1, {0, 0, 0x1000, MemOp::Load}, 20000);
+    sys.access(0, {.op = MemOp::Store, .addr = 0x1000}, 10000);
+    sys.access(1, {.op = MemOp::Load, .addr = 0x1000}, 20000);
     EXPECT_GT(sys.l2().accesses(), l2_before + 1);  // L1 refetch
 }
 
 TEST(System, IfetchMissesGoToL2)
 {
     System sys(paperSystem(L2Kind::Shared));
-    TraceRecord r{0, 0x9000, 0x1000, MemOp::Load};
+    TraceRecord r{.op = MemOp::Load, .iaddr = 0x9000, .addr = 0x1000};
     sys.access(0, r, 0);
     // Both the ifetch and the load missed.
     EXPECT_EQ(sys.l2().accesses(), 2u);
@@ -139,15 +141,16 @@ TEST(System, InclusionBackInvalidatesL1)
     SystemConfig cfg = paperSystem(L2Kind::Shared);
     cfg.shared.capacity = 8192;  // 2 sets x 32 ways
     System sys(cfg);
-    sys.access(0, {0, 0, 0x0, MemOp::Load}, 0);
+    sys.access(0, {.op = MemOp::Load, .addr = 0x0}, 0);
     // Evict block 0 by filling its set (stride = 2*128 = 256).
     Tick t = 10000;
     for (int i = 1; i <= 32; ++i) {
-        sys.access(0, {0, 0, static_cast<Addr>(i) * 256, MemOp::Load}, t);
+        sys.access(
+            0, {.op = MemOp::Load, .addr = static_cast<Addr>(i) * 256}, t);
         t += 10000;
     }
     std::uint64_t l2_before = sys.l2().accesses();
-    sys.access(0, {0, 0, 0x0, MemOp::Load}, t + 10000);
+    sys.access(0, {.op = MemOp::Load, .addr = 0x0}, t + 10000);
     // The L1 copy was back-invalidated with the L2 block: L2 access.
     EXPECT_EQ(sys.l2().accesses(), l2_before + 1);
 }
@@ -156,11 +159,11 @@ TEST(System, StoreBufferHitsRetireEarlyButChargeOccupancy)
 {
     System sys(paperSystem(L2Kind::Shared));
     // Warm the block into the L2 (loads grant no L1 store ownership).
-    sys.access(0, {0, 0, 0x1000, MemOp::Load}, 0);
+    sys.access(0, {.op = MemOp::Load, .addr = 0x1000}, 0);
     // Store hits from every core: each retires through the store
     // buffer one cycle after issue...
     for (CoreId c = 0; c < 4; ++c) {
-        Tick done = sys.access(c, {0, 0, 0x1000, MemOp::Store}, 10000);
+        Tick done = sys.access(c, {.op = MemOp::Store, .addr = 0x1000}, 10000);
         EXPECT_EQ(done, 10001u);
     }
     // ...but each still charged L2 port occupancy: with all four
@@ -168,10 +171,10 @@ TEST(System, StoreBufferHitsRetireEarlyButChargeOccupancy)
     // out exactly one store's occupancy (4 cycles) for a free port.
     Tick solo = [] {
         System fresh(Runner::paperConfig(L2Kind::Shared));
-        fresh.access(0, {0, 0, 0x1000, MemOp::Load}, 0);
-        return fresh.access(0, {0, 0, 0x2000, MemOp::Load}, 10000);
+        fresh.access(0, {.op = MemOp::Load, .addr = 0x1000}, 0);
+        return fresh.access(0, {.op = MemOp::Load, .addr = 0x2000}, 10000);
     }();
-    Tick queued = sys.access(0, {0, 0, 0x2000, MemOp::Load}, 10000);
+    Tick queued = sys.access(0, {.op = MemOp::Load, .addr = 0x2000}, 10000);
     EXPECT_EQ(queued, solo + 4);
 }
 
@@ -180,10 +183,10 @@ TEST(System, StoreBufferingOffStallsForHitCompletion)
     SystemConfig cfg = paperSystem(L2Kind::Shared);
     cfg.store_buffering = false;
     System sys(cfg);
-    sys.access(0, {0, 0, 0x1000, MemOp::Load}, 0);
+    sys.access(0, {.op = MemOp::Load, .addr = 0x1000}, 0);
     // Without buffering the core waits out the full L2 store hit:
     // L1D latency + port grant + array latency, well past issue+1.
-    Tick done = sys.access(1, {0, 0, 0x1000, MemOp::Store}, 10000);
+    Tick done = sys.access(1, {.op = MemOp::Store, .addr = 0x1000}, 10000);
     EXPECT_GT(done, 10001u);
 }
 
@@ -192,7 +195,7 @@ TEST(System, StoreMissesStallDespiteBuffering)
     // Store *misses* are write-allocate fills; the store buffer only
     // hides hit latency, never the memory round-trip.
     System sys(paperSystem(L2Kind::Shared));
-    Tick done = sys.access(0, {0, 0, 0x1000, MemOp::Store}, 0);
+    Tick done = sys.access(0, {.op = MemOp::Store, .addr = 0x1000}, 0);
     EXPECT_GT(done, 1u);
 }
 
@@ -203,18 +206,20 @@ TEST(System, IfetchMissComposesWithDataAccess)
     // both L1s at 3 cycles, completion is exactly the ifetch's L2
     // completion plus the warm L1D hit.
     System sys(paperSystem(L2Kind::Shared));
-    sys.access(0, {0, 0, 0x1000, MemOp::Load}, 0); // warm L1D + L2
+    sys.access(0, {.op = MemOp::Load, .addr = 0x1000}, 0); // warm L1D + L2
     Tick pure_ifetch_path = [] {
         System fresh(Runner::paperConfig(L2Kind::Shared));
-        fresh.access(0, {0, 0, 0x1000, MemOp::Load}, 0);
+        fresh.access(0, {.op = MemOp::Load, .addr = 0x1000}, 0);
         // Same port history, same tick, same block: this data access
         // completes when the ifetch L2 access in `sys` does.
-        return fresh.access(0, {0, 0, 0x9000, MemOp::Load}, 10000);
+        return fresh.access(0, {.op = MemOp::Load, .addr = 0x9000}, 10000);
     }();
-    Tick done = sys.access(0, {0, 0x9000, 0x1000, MemOp::Load}, 10000);
+    Tick done = sys.access(
+        0, {.op = MemOp::Load, .iaddr = 0x9000, .addr = 0x1000}, 10000);
     EXPECT_EQ(done, pure_ifetch_path + 3);
     // Once the instruction block is resident, the pair is pure L1.
-    Tick warm = sys.access(0, {0, 0x9000, 0x1000, MemOp::Load}, 20000);
+    Tick warm = sys.access(
+        0, {.op = MemOp::Load, .iaddr = 0x9000, .addr = 0x1000}, 20000);
     EXPECT_EQ(warm, 20003u);
 }
 
@@ -279,7 +284,8 @@ TEST(System, AllKindsConstructAndServe)
     for (L2Kind k : {L2Kind::Shared, L2Kind::Private, L2Kind::Snuca,
                      L2Kind::Ideal, L2Kind::Nurapid}) {
         System sys(paperSystem(k));
-        Tick done = sys.access(0, {0, 0x9000, 0x1000, MemOp::Load}, 0);
+        Tick done = sys.access(
+            0, {.op = MemOp::Load, .iaddr = 0x9000, .addr = 0x1000}, 0);
         EXPECT_GT(done, 0u) << toString(k);
         EXPECT_EQ(std::string(toString(k)).empty(), false);
         sys.checkInvariants();
@@ -293,7 +299,7 @@ TEST(System, StatsRegisterForAllKinds)
         System sys(paperSystem(k));
         StatGroup g("system");
         sys.regStats(g);
-        sys.access(0, {0, 0, 0x1000, MemOp::Load}, 0);
+        sys.access(0, {.op = MemOp::Load, .addr = 0x1000}, 0);
         EXPECT_EQ(g.counter("l2.accesses").value(), 1u);
         sys.resetStats();
         EXPECT_EQ(g.counter("l2.accesses").value(), 0u);

@@ -2,11 +2,13 @@
  * @file
  * Tests for the packed trace capture/replay subsystem: encode/decode
  * round-trip fuzzing, CNTRF001 file validation (corrupt and truncated
- * inputs must be rejected loudly), wrap semantics, canonical-order
- * determinism including concurrent chunk growth, the process-wide
- * TraceCache, end-to-end replay equality across worker counts, and
- * the stream-sharing rule (which streams a ParallelRunner batch
- * materializes, and a lone run reading a held trace).
+ * inputs must be rejected loudly), wrap semantics (also for traces
+ * around the replay prefetch distance), canonical-order determinism
+ * including concurrent chunk growth and round-robin readers across
+ * chunk boundaries, the process-wide TraceCache, end-to-end replay
+ * equality across worker counts, and the stream-sharing rule (which
+ * streams a ParallelRunner batch materializes, and a lone run reading
+ * a held trace).
  */
 
 #include <gtest/gtest.h>
@@ -272,16 +274,57 @@ TEST(ReplayDeath, EmptyCoreRejected)
 
 TEST(Replay, FrozenTraceWrapsAndRepeats)
 {
+    // next() prefetches prefetch_distance records ahead, but only
+    // inside the chunk, so traces shorter than, equal to and just past
+    // that distance wrap like any other.
+    constexpr std::size_t d = ReplaySource::prefetch_distance;
     Rng rng(11);
-    std::vector<std::vector<TraceRecord>> records(1);
-    for (int i = 0; i < 5; ++i)
-        records[0].push_back(fuzzRecord(rng));
-    auto trace = RecordedTrace::fromRecords(records);
-    ReplaySource src(*trace, 0);
-    auto got = drain(src, 13);
-    for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_TRUE(sameRecord(got[i], records[0][i % 5])) << "#" << i;
-    EXPECT_EQ(src.wraps(), 2u);
+    for (std::size_t n : {std::size_t{5}, std::size_t{1}, d - 1, d, d + 1}) {
+        std::vector<std::vector<TraceRecord>> records(1);
+        for (std::size_t i = 0; i < n; ++i)
+            records[0].push_back(fuzzRecord(rng));
+        auto trace = RecordedTrace::fromRecords(records);
+        ReplaySource src(*trace, 0);
+        auto got = drain(src, 2 * n + 1);
+        for (std::size_t i = 0; i < got.size(); ++i)
+            EXPECT_TRUE(sameRecord(got[i], records[0][i % n]))
+                << n << " records, #" << i;
+        EXPECT_EQ(src.wraps(), 2u) << n << " records";
+        EXPECT_EQ(src.consumed(), 2 * n + 1);
+    }
+}
+
+TEST(Replay, RoundRobinReadersMatchChunksAcrossBoundaries)
+{
+    // The simulator's access pattern: one ReplaySource per core, each
+    // drawing one record in turn, over one generated trace, through
+    // three chunk boundaries and a prefetch window past the last one.
+    SynthWorkloadParams params = Runner::effectiveSynthParams(
+        workloads::byName("oltp"), RunConfig{});
+    RecordedTrace trace(params);
+    const auto cores = static_cast<std::size_t>(trace.cores());
+    const std::size_t per_core = 3 * RecordedTrace::chunk_records +
+                                 ReplaySource::prefetch_distance + 1;
+    std::vector<std::unique_ptr<ReplaySource>> srcs;
+    for (std::size_t c = 0; c < cores; ++c)
+        srcs.push_back(
+            std::make_unique<ReplaySource>(trace, static_cast<int>(c)));
+    std::vector<std::vector<TraceRecord>> got(cores);
+    for (std::size_t i = 0; i < per_core; ++i)
+        for (std::size_t c = 0; c < cores; ++c)
+            got[c].push_back(srcs[c]->next());
+
+    for (std::size_t c = 0; c < cores; ++c) {
+        EXPECT_EQ(srcs[c]->consumed(), per_core);
+        for (std::size_t i = 0; i < per_core; ++i) {
+            const RecordedTrace::Chunk *ch = trace.chunk(
+                static_cast<int>(c), i / RecordedTrace::chunk_records);
+            ASSERT_NE(ch, nullptr);
+            ASSERT_TRUE(sameRecord(
+                got[c][i], ch->records[i % RecordedTrace::chunk_records]))
+                << "core " << c << " #" << i;
+        }
+    }
 }
 
 TEST(Replay, CanonicalGenerationIsDeterministic)
