@@ -3,7 +3,7 @@
  * Pinned-workload simulator-throughput benchmark and regression gate.
  *
  * Every scenario runs with the always-on observability path enabled:
- * each cell streams its events and metrics snapshots to a CNBLG01
+ * each cell streams its events and metrics snapshots to a CNBLG002
  * binary log (DESIGN.md 3j) with a metrics interval. The
  * per-organization scenario additionally runs
  * an obs-disabled twin of every rep, interleaved so host drift hits

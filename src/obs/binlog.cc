@@ -16,9 +16,26 @@ namespace obs
 namespace
 {
 
-constexpr char binlog_magic[8] = {'C', 'N', 'B', 'L', 'G', '0', '0', '1'};
+constexpr char binlog_magic[8] = {'C', 'N', 'B', 'L', 'G', '0', '0', '2'};
 constexpr char binlog_trailer[8] = {'C', 'N', 'B', 'L', 'G', 'E', 'N', 'D'};
 constexpr std::size_t binlog_trailer_bytes = 24;
+
+// Record head byte: the message id in the low nibble, then one flag
+// per optional field (binlog.hh has the layout).
+constexpr unsigned head_msg_mask = 0x0f;
+constexpr unsigned head_addr = 0x10;
+constexpr unsigned head_arg = 0x20;
+constexpr unsigned head_dur = 0x40;
+constexpr unsigned head_abc = 0x80;
+
+/** Longest varint: 64 bits at 7 bits per byte. */
+constexpr std::size_t max_varint_bytes = 10;
+/** Longest record: head, tick, addr, arg and dur at 10 bytes each,
+ *  component and core at 3, and the three operand bytes. */
+constexpr std::size_t max_record_bytes =
+    1 + 4 * max_varint_bytes + 2 * 3 + 3;
+/** Shortest record: head, tick, component and core at one byte. */
+constexpr std::size_t min_record_bytes = 4;
 
 /** Binlog paths currently open for writing, process-wide. */
 struct OpenPaths
@@ -55,9 +72,7 @@ releasePath(const std::string &path)
     r.paths.erase(path);
 }
 
-// Little-endian memory codecs. Records are encoded/decoded in batches
-// through memory buffers so the writer thread issues one fwrite per
-// batch instead of one per field.
+// Little-endian codecs for the header and trailer.
 
 void
 enc64(unsigned char *p, std::uint64_t v)
@@ -105,36 +120,6 @@ dec16(const unsigned char *p)
 }
 
 void
-encodeRecord(const BinRecord &r, unsigned char *p)
-{
-    enc64(p + 0, static_cast<std::uint64_t>(r.tick));
-    enc64(p + 8, static_cast<std::uint64_t>(r.addr));
-    enc64(p + 16, r.arg);
-    enc64(p + 24, r.dur);
-    enc16(p + 32, r.msg);
-    enc16(p + 34, static_cast<std::uint16_t>(r.component));
-    enc16(p + 36, static_cast<std::uint16_t>(r.core));
-    p[38] = r.a;
-    p[39] = r.b;
-    p[40] = r.c;
-}
-
-void
-decodeRecord(const unsigned char *p, BinRecord &r)
-{
-    r.tick = static_cast<Tick>(dec64(p + 0));
-    r.addr = static_cast<Addr>(dec64(p + 8));
-    r.arg = dec64(p + 16);
-    r.dur = dec64(p + 24);
-    r.msg = dec16(p + 32);
-    r.component = static_cast<std::int16_t>(dec16(p + 34));
-    r.core = static_cast<std::int16_t>(dec16(p + 36));
-    r.a = p[38];
-    r.b = p[39];
-    r.c = p[40];
-}
-
-void
 putStr(std::FILE *f, const std::string &s)
 {
     unsigned char len[4];
@@ -154,6 +139,113 @@ getStr(std::FILE *f, std::string &s, std::uint32_t max_len)
         return false;
     s.assign(len, '\0');
     return len == 0 || std::fread(s.data(), 1, len, f) == len;
+}
+
+// Record codec. Signed values and differences travel as two's
+// complement in a uint64_t, so every step is defined modulo 2^64.
+
+std::uint64_t
+zigzag(std::uint64_t v)
+{
+    return (v << 1) ^ (std::uint64_t{0} - (v >> 63));
+}
+
+std::uint64_t
+unzigzag(std::uint64_t z)
+{
+    return (z >> 1) ^ (std::uint64_t{0} - (z & 1));
+}
+
+std::uint64_t
+zigzag16(std::int16_t v)
+{
+    return zigzag(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+}
+
+unsigned char *
+putVarint(unsigned char *p, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        *p++ = static_cast<unsigned char>(v | 0x80);
+        v >>= 7;
+    }
+    *p++ = static_cast<unsigned char>(v);
+    return p;
+}
+
+/** Decoder state of one record stream: the cursor and delta bases. */
+struct StreamCursor
+{
+    const unsigned char *p;
+    const unsigned char *end;
+    Tick tick = 0;
+    Addr addr = 0;
+};
+
+/** Read one varint into @p v; nullptr on success, else the reason. */
+const char *
+getVarint(StreamCursor &s, std::uint64_t &v)
+{
+    v = 0;
+    for (std::size_t i = 0; i < max_varint_bytes; ++i) {
+        if (s.p == s.end)
+            return "the stream ends inside it";
+        unsigned byte = *s.p++;
+        if (i == max_varint_bytes - 1 && byte > 1)
+            return byte & 0x80 ? "a varint is longer than 10 bytes"
+                               : "a varint overflows 64 bits";
+        v |= static_cast<std::uint64_t>(byte & 0x7f) << (7 * i);
+        if (!(byte & 0x80))
+            break;
+    }
+    return nullptr;
+}
+
+/**
+ * Decode the record at the cursor into @p r and advance past it.
+ * @return nullptr on success, else why the bytes are not a record.
+ */
+const char *
+decodeRecord(StreamCursor &s, BinRecord &r)
+{
+    if (s.p == s.end)
+        return "the stream ends inside it";
+    unsigned head = *s.p++;
+    r = BinRecord{};
+    r.msg = static_cast<std::uint16_t>(head & head_msg_mask);
+    const char *e = nullptr;
+    auto field = [&](bool present, std::uint64_t &v) {
+        if (present && !e)
+            e = getVarint(s, v);
+    };
+    std::uint64_t dtick = 0, comp = 0, core = 0, daddr = 0;
+    field(true, dtick);
+    field(true, comp);
+    field(true, core);
+    field(head & head_addr, daddr);
+    field(head & head_arg, r.arg);
+    field(head & head_dur, r.dur);
+    if (e)
+        return e;
+    if (comp > 0xffff || core > 0xffff)
+        return "its component or core does not fit 16 bits";
+    if (head & head_abc) {
+        if (s.end - s.p < 3)
+            return "the stream ends inside it";
+        r.a = s.p[0];
+        r.b = s.p[1];
+        r.c = s.p[2];
+        s.p += 3;
+    }
+    s.tick += unzigzag(dtick);
+    r.tick = s.tick;
+    if (head & head_addr) {
+        s.addr += unzigzag(daddr);
+        r.addr = s.addr;
+    }
+    r.component = static_cast<std::int16_t>(unzigzag(comp));
+    r.core = static_cast<std::int16_t>(unzigzag(core));
+    return nullptr;
 }
 
 std::size_t
@@ -184,23 +276,6 @@ bitsDouble(std::uint64_t bits)
 
 } // namespace
 
-BinRecord
-toBinRecord(const TraceEvent &ev)
-{
-    BinRecord r;
-    r.tick = ev.tick;
-    r.addr = ev.addr;
-    r.arg = ev.arg;
-    r.dur = ev.dur;
-    r.msg = static_cast<std::uint16_t>(msgIdFor(ev.kind));
-    r.component = ev.component;
-    r.core = ev.core;
-    r.a = ev.a;
-    r.b = ev.b;
-    r.c = ev.c;
-    return r;
-}
-
 TraceEvent
 toTraceEvent(const BinRecord &r)
 {
@@ -219,36 +294,23 @@ toTraceEvent(const BinRecord &r)
 }
 
 SpscRing::SpscRing(std::size_t capacity)
-    : buf(roundUpPow2(capacity) * binlog_record_wire_bytes),
-      cap(roundUpPow2(capacity)),
-      mask(cap - 1)
+    : buf(roundUpPow2(capacity)), cap(buf.size()), mask(cap - 1)
 {
 }
 
 bool
-SpscRing::tryPush(const BinRecord &r)
+SpscRing::tryPush(const unsigned char *p, std::size_t n)
 {
     std::size_t h = head.load(std::memory_order_relaxed);
     std::size_t t = tail.load(std::memory_order_acquire);
-    if (h - t >= cap)
+    if (cap - (h - t) < n)
         return false;
-    encodeRecord(r, buf.data() + (h & mask) * binlog_record_wire_bytes);
-    head.store(h + 1, std::memory_order_release);
+    std::size_t at = h & mask;
+    std::size_t first = std::min(n, cap - at);
+    std::memcpy(buf.data() + at, p, first);
+    std::memcpy(buf.data(), p + first, n - first);
+    head.store(h + n, std::memory_order_release);
     return true;
-}
-
-std::size_t
-SpscRing::popBulk(BinRecord *out, std::size_t max)
-{
-    std::size_t t = tail.load(std::memory_order_relaxed);
-    std::size_t h = head.load(std::memory_order_acquire);
-    std::size_t n = std::min(h - t, max);
-    for (std::size_t i = 0; i < n; ++i)
-        decodeRecord(buf.data() +
-                         ((t + i) & mask) * binlog_record_wire_bytes,
-                     out[i]);
-    tail.store(t + n, std::memory_order_release);
-    return n;
 }
 
 std::size_t
@@ -256,9 +318,8 @@ SpscRing::peek(const unsigned char *&p) const
 {
     std::size_t t = tail.load(std::memory_order_relaxed);
     std::size_t h = head.load(std::memory_order_acquire);
-    std::size_t n = std::min(h - t, cap - (t & mask));
-    p = buf.data() + (t & mask) * binlog_record_wire_bytes;
-    return n;
+    p = buf.data() + (t & mask);
+    return std::min(h - t, cap - (t & mask));
 }
 
 void
@@ -268,9 +329,12 @@ SpscRing::consume(std::size_t n)
                std::memory_order_release);
 }
 
-BinlogWriter::BinlogWriter(std::string path)
-    : out_path(std::move(path)), ring(1 << 15)
+BinlogWriter::BinlogWriter(std::string path, std::size_t ring_capacity)
+    : out_path(std::move(path)), ring(ring_capacity)
 {
+    cnsim_assert(ring.capacity() >= block_bytes,
+                 "binlog ring of %zu bytes cannot hold a %zu-byte block",
+                 ring.capacity(), block_bytes);
 }
 
 BinlogWriter::~BinlogWriter()
@@ -316,25 +380,68 @@ BinlogWriter::begin(const std::vector<std::string> &components,
 }
 
 void
-BinlogWriter::appendMetric(Tick tick, std::uint32_t metric_index,
-                           double value)
-{
-    BinRecord r;
-    r.tick = tick;
-    r.addr = static_cast<Addr>(metric_index);
-    r.arg = doubleBits(value);
-    r.msg = static_cast<std::uint16_t>(MsgId::MetricValue);
-    push(r);
-}
-
-void
-BinlogWriter::push(const BinRecord &r)
+BinlogWriter::put(std::uint16_t msg, const TraceEvent &ev)
 {
     cnsim_assert(active(), "binlog '%s' append outside begin()/finish()",
                  out_path.c_str());
-    while (!ring.tryPush(r)) {
+    if (block_bytes - fill < max_record_bytes)
+        publish();
+    unsigned char *const rec = block + fill;
+    unsigned head = msg;
+    unsigned char *p = putVarint(rec + 1, zigzag(ev.tick - prev_tick));
+    prev_tick = ev.tick;
+    p = putVarint(p, zigzag16(ev.component));
+    p = putVarint(p, zigzag16(ev.core));
+    if (ev.addr) {
+        head |= head_addr;
+        p = putVarint(p, zigzag(ev.addr - prev_addr));
+        prev_addr = ev.addr;
+    }
+    if (ev.arg) {
+        head |= head_arg;
+        p = putVarint(p, ev.arg);
+    }
+    if (ev.dur) {
+        head |= head_dur;
+        p = putVarint(p, ev.dur);
+    }
+    if (ev.a | ev.b | ev.c) {
+        head |= head_abc;
+        p[0] = ev.a;
+        p[1] = ev.b;
+        p[2] = ev.c;
+        p += 3;
+    }
+    *rec = static_cast<unsigned char>(head);
+    fill = static_cast<std::size_t>(p - block);
+    ++n_appended;
+}
+
+void
+BinlogWriter::append(const TraceEvent &ev)
+{
+    put(static_cast<std::uint16_t>(msgIdFor(ev.kind)), ev);
+}
+
+void
+BinlogWriter::appendMetric(Tick tick, std::uint32_t metric_index,
+                           double value)
+{
+    // A metrics sample travels in a TraceEvent's fields (its kind is
+    // unused): addr holds the column, arg the value's bits.
+    TraceEvent ev;
+    ev.tick = tick;
+    ev.addr = static_cast<Addr>(metric_index);
+    ev.arg = doubleBits(value);
+    put(static_cast<std::uint16_t>(MsgId::MetricValue), ev);
+}
+
+void
+BinlogWriter::publish()
+{
+    while (!ring.tryPush(block, fill)) {
         // Ring full: the producer never drops -- it wakes the writer
-        // and yields until a slot frees up. Output bytes stay a pure
+        // and yields until the block fits. Output bytes stay a pure
         // function of the append order.
         {
             MutexLock lk(wake_mutex);
@@ -342,27 +449,25 @@ BinlogWriter::push(const BinRecord &r)
         wake.notify_one();
         std::this_thread::yield();
     }
-    ++n_appended;
+    n_published += fill;
+    fill = 0;
     // Deliberately no wake-up on the non-full path: the writer drains
     // on its own timed cadence, and finish() forces the last drain.
     // Notifying here makes the just-woken writer preempt the simulation
-    // thread after every append on a loaded (or single-core) host --
-    // measured at many times the cost of the push itself. The
-    // steady-state append is just the encode, two atomic ops, and a
-    // counter bump.
+    // thread on a loaded (or single-core) host.
 }
 
 void
 BinlogWriter::writerMain()
 {
-    // Zero-copy drain: the ring cells already hold the wire bytes, so
-    // a drain is one fwrite per contiguous span (at most two spans per
+    // Zero-copy drain: the ring already holds the file's bytes, so a
+    // drain is one fwrite per contiguous span (at most two spans per
     // ring lap), then a cursor bump.
     auto drain = [&]() {
         const unsigned char *p = nullptr;
         std::size_t n = ring.peek(p);
         if (n) {
-            std::fwrite(p, 1, n * binlog_record_wire_bytes, file);
+            std::fwrite(p, 1, n, file);
             ring.consume(n);
             n_written += n;
         }
@@ -376,11 +481,11 @@ BinlogWriter::writerMain()
             continue;
         if (stop_requested)
             break;
-        // Timed cadence instead of producer wake-ups: appends never
-        // notify (see push()), so the writer drains whatever has
+        // Timed cadence instead of producer wake-ups: publishing never
+        // notifies (see publish()), so the writer drains whatever has
         // accumulated every couple of milliseconds. The ring is sized
         // so a full measurement-rate burst takes longer than one
-        // period to fill it; the full-ring path in push() is the
+        // period to fill it; the full-ring path in publish() is the
         // backstop, and finish() notifies for the final drain.
         // condition_variable_any waits on the Mutex capability itself
         // (BasicLockable); MutexLock above keeps the scoped extent
@@ -396,16 +501,17 @@ BinlogWriter::finish()
 {
     if (!begun || finished)
         return;
+    publish();
     {
         MutexLock lk(wake_mutex);
         stop_requested = true;
     }
     wake.notify_one();
     writer.join();
-    cnsim_assert(n_written == n_appended,
-                 "binlog '%s' writer lost records (%" PRIu64 " of %" PRIu64
+    cnsim_assert(n_written == n_published,
+                 "binlog '%s' writer lost bytes (%" PRIu64 " of %" PRIu64
                  " written)",
-                 out_path.c_str(), n_written, n_appended);
+                 out_path.c_str(), n_written, n_published);
     std::fwrite(binlog_trailer, 1, sizeof(binlog_trailer), file);
     unsigned char u64[8];
     enc64(u64, n_appended);
@@ -437,8 +543,12 @@ readBinlog(const std::string &path, BinlogData &out, std::string *error)
 
     char magic[8];
     if (std::fread(magic, 1, 8, f) != 8 ||
-        std::memcmp(magic, binlog_magic, 8) != 0)
-        return fail("'" + path + "' is not a cnsim binlog (CNBLG001)");
+        std::memcmp(magic, binlog_magic, 5) != 0)
+        return fail("'" + path + "' is not a cnsim binlog (CNBLG002)");
+    if (std::memcmp(magic, binlog_magic, 8) != 0)
+        return fail("'" + path + "' is a " + std::string(magic, 8) +
+                    " binlog; this reader reads only CNBLG002, so rerun "
+                    "the simulation to log it again");
 
     unsigned char u32_b[4], u16_b[2];
     if (std::fread(u32_b, 1, 4, f) != 4)
@@ -500,52 +610,59 @@ readBinlog(const std::string &path, BinlogData &out, std::string *error)
     std::uint64_t n_records = dec64(trailer + 8);
     out.dropped = dec64(trailer + 16);
 
-    std::uint64_t payload =
-        static_cast<std::uint64_t>(file_size - header_end) -
-        binlog_trailer_bytes;
-    if (payload != n_records * binlog_record_wire_bytes)
-        return fail(strfmt("record payload mismatch: trailer promises "
-                           "%" PRIu64 " records (%" PRIu64 " bytes) but "
-                           "the stream holds %" PRIu64 " bytes",
-                           n_records,
-                           n_records * binlog_record_wire_bytes, payload));
+    std::vector<unsigned char> payload(static_cast<std::size_t>(
+        file_size - header_end - static_cast<long>(binlog_trailer_bytes)));
+    if (std::fseek(f, header_end, SEEK_SET) != 0 ||
+        std::fread(payload.data(), 1, payload.size(), f) != payload.size())
+        return fail("cannot read the record stream of '" + path + "'");
 
-    if (std::fseek(f, header_end, SEEK_SET) != 0)
-        return fail("cannot seek '" + path + "'");
+    StreamCursor s{payload.data(), payload.data() + payload.size()};
     out.records.clear();
-    out.records.reserve(n_records);
-    constexpr std::size_t chunk_records = 4096;
-    std::vector<unsigned char> chunk(chunk_records *
-                                     binlog_record_wire_bytes);
-    std::uint64_t remaining = n_records;
-    while (remaining) {
-        std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(remaining, chunk_records));
-        if (std::fread(chunk.data(), binlog_record_wire_bytes, n, f) != n)
-            return fail("truncated record stream");
-        for (std::size_t i = 0; i < n; ++i) {
-            BinRecord r;
-            decodeRecord(chunk.data() + i * binlog_record_wire_bytes, r);
-            if (r.msg >= n_msgs)
-                return fail(strfmt("record %" PRIu64 " has unknown "
-                                   "message id %u",
-                                   n_records - remaining + i,
-                                   static_cast<unsigned>(r.msg)));
-            if (r.component >= 0 &&
-                static_cast<std::uint32_t>(r.component) >= n_comps)
-                return fail(strfmt("record %" PRIu64 " references "
-                                   "component %d outside the table",
-                                   n_records - remaining + i,
-                                   static_cast<int>(r.component)));
-            if (r.msg == static_cast<std::uint16_t>(MsgId::MetricValue) &&
-                static_cast<std::uint64_t>(r.addr) >= n_metrics)
-                return fail(strfmt("metric record %" PRIu64 " references "
-                                   "column %" PRIu64 " outside the table",
-                                   n_records - remaining + i,
-                                   static_cast<std::uint64_t>(r.addr)));
-            out.records.push_back(r);
+    out.records.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+        n_records, payload.size() / min_record_bytes)));
+    for (std::uint64_t i = 0; i < n_records; ++i) {
+        if (s.p == s.end)
+            return fail(strfmt("record count mismatch: the trailer "
+                               "promises %" PRIu64 " records but the "
+                               "stream holds %" PRIu64,
+                               n_records, i));
+        BinRecord r;
+        if (const char *why = decodeRecord(s, r))
+            return fail(strfmt("record %" PRIu64 " is corrupt: %s", i, why));
+        if (r.msg >= n_msgs)
+            return fail(strfmt("record %" PRIu64 " has unknown "
+                               "message id %u",
+                               i, static_cast<unsigned>(r.msg)));
+        if (r.component >= 0 &&
+            static_cast<std::uint32_t>(r.component) >= n_comps)
+            return fail(strfmt("record %" PRIu64 " references "
+                               "component %d outside the table",
+                               i, static_cast<int>(r.component)));
+        if (r.msg == static_cast<std::uint16_t>(MsgId::MetricValue) &&
+            static_cast<std::uint64_t>(r.addr) >= n_metrics)
+            return fail(strfmt("metric record %" PRIu64 " references "
+                               "column %" PRIu64 " outside the table",
+                               i, static_cast<std::uint64_t>(r.addr)));
+        out.records.push_back(r);
+    }
+    if (s.p != s.end) {
+        // Whole records past the count mean the trailer lies; anything
+        // else is stray bytes.
+        std::size_t stray = static_cast<std::size_t>(s.end - s.p);
+        std::uint64_t more = 0;
+        bool whole = true;
+        BinRecord r;
+        while (whole && s.p != s.end) {
+            whole = decodeRecord(s, r) == nullptr;
+            more += whole;
         }
-        remaining -= n;
+        if (whole)
+            return fail(strfmt("record count mismatch: the trailer "
+                               "promises %" PRIu64 " records but the "
+                               "stream holds %" PRIu64,
+                               n_records, n_records + more));
+        return fail(strfmt("stray bytes after the last record: %zu",
+                           stray));
     }
     return true;
 }

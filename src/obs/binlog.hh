@@ -2,14 +2,15 @@
  * @file
  * Always-on binary structured logging (DESIGN.md 3j).
  *
- * The hot path appends fixed-size records -- {message id, tick, raw
- * operands} -- to a per-System lock-free SPSC ring; a background
- * writer thread drains the ring into a CNBLG01 streamed binary file.
- * No formatting, no string building, and no unbounded in-memory store
- * happen on the simulation thread: every human-readable rendering
- * moves offline to tools/cntrace, which reconstructs text/JSON/CSV
- * from the stream plus the message registry embedded in the file
- * header.
+ * The hot path encodes each event once, as a compact delta-coded
+ * record, into a staging block only the simulation thread touches. A
+ * full block moves to a per-System lock-free SPSC byte ring in one
+ * copy, and a background writer thread drains the ring into a CNBLG002
+ * streamed binary file. No formatting, no string building, and no
+ * unbounded in-memory store happen on the simulation thread: every
+ * human-readable rendering moves offline to tools/cntrace, which
+ * reconstructs text/JSON/CSV from the stream plus the message registry
+ * embedded in the file header.
  *
  * Message ids are static: one id per emit site, with the operand
  * signature registered once in msg_registry and written once into the
@@ -18,26 +19,39 @@
  *
  * Determinism contract: the file's bytes depend only on the order of
  * append() calls (the simulation thread's emission order) -- never on
- * writer-thread scheduling -- so binlog output is byte-identical for
- * every ParallelRunner --jobs value. The producer never drops: when
- * the ring is full it wakes the writer and yields until space frees
- * up.
+ * writer-thread scheduling or on where staging blocks end -- so binlog
+ * output is byte-identical for every ParallelRunner --jobs value. The
+ * producer never drops: when the ring is full it wakes the writer and
+ * yields until space frees up.
  *
- * File layout (all integers little-endian):
- *   "CNBLG001"                                    8-byte magic
+ * File layout (header and trailer integers are little-endian):
+ *   "CNBLG002"                                    8-byte magic
  *   u32 n_messages; per message:
  *       u16 id, str name, str signature           str = u32 len + bytes
  *   u32 n_components; per component: str path
  *   u32 n_metrics;    per metric:    str path
- *   BinRecord * n  (binlog_record_wire_bytes each)
+ *   n records, each:
+ *       u8 head       bits 0-3 message id; bits 4, 5, 6 and 7 flag
+ *                     that addr, arg, dur and {a, b, c} follow
+ *       var zigzag(tick - previous record's tick)
+ *       var zigzag(component), var zigzag(core)
+ *       var zigzag(addr - previous non-zero addr)   if addr != 0
+ *       var arg                                     if arg != 0
+ *       var dur                                     if dur != 0
+ *       u8 a, u8 b, u8 c                            if any is non-zero
  *   "CNBLGEND" u64 n_records u64 n_dropped        24-byte trailer
+ *
+ * "var" is an unsigned LEB128 varint of at most 10 bytes. Differences
+ * wrap modulo 2^64, both delta bases start at 0, and zigzag maps a
+ * two's-complement value v to (v << 1) ^ (v >> 63). Records absent a
+ * field decode it as 0, so a record never stores a zero operand.
  *
  * n_dropped is always written as 0: nothing on the capture side drops
  * events. Readers still surface a non-zero value.
  *
  * The trailer makes truncation detectable: a reader seeks it from the
- * end of the file and rejects streams whose payload size or record
- * count disagrees with it.
+ * end of the file and rejects streams whose records do not decode to
+ * exactly its record count.
  */
 
 #ifndef CNSIM_OBS_BINLOG_HH
@@ -80,6 +94,8 @@ enum class MsgId : std::uint16_t
 
 /** Number of registered message ids. */
 constexpr int num_msg_ids = 8;
+static_assert(num_msg_ids <= 16,
+              "a record's head byte holds the message id in 4 bits");
 
 /** Registered name + operand signature of one message id. */
 struct MsgInfo
@@ -110,9 +126,9 @@ msgIdFor(EventKind k)
 }
 
 /**
- * One fixed-size binlog record: message id, tick, raw operands.
- * Interpretation follows msg_registry[msg].signature; unused fields
- * stay zero so the serialized stream is deterministic.
+ * One decoded binlog record: message id, tick, raw operands.
+ * Interpretation follows msg_registry[msg].signature; operands the
+ * message does not use are zero (-1 for component and core).
  */
 struct BinRecord
 {
@@ -128,49 +144,42 @@ struct BinRecord
     std::uint8_t c = 0;
 };
 
-/** Serialized size of one BinRecord. */
-constexpr std::size_t binlog_record_wire_bytes = 41;
-
-/** Build the BinRecord a TraceSink event serializes as. */
-BinRecord toBinRecord(const TraceEvent &ev);
-
 /** Rebuild the TraceEvent a non-metric BinRecord was made from. */
 TraceEvent toTraceEvent(const BinRecord &r);
 
 /**
- * Single-producer/single-consumer lock-free ring of wire-encoded
- * BinRecords. The simulation thread pushes (encoding the record
- * straight into its 41-byte ring cell -- the bytes that hit the file),
- * the writer thread drains contiguous spans with peek()/consume() and
- * hands them to fwrite without copying or re-encoding. head/tail are
- * monotonically increasing record counters with acquire/release
- * ordering, so neither side ever takes a lock on the hot path.
+ * Single-producer/single-consumer lock-free byte ring. The simulation
+ * thread pushes whole staging blocks of encoded records; the writer
+ * thread drains contiguous spans with peek()/consume() and hands them
+ * to fwrite without copying. head/tail are monotonically increasing
+ * byte counters with acquire/release ordering, each on its own cache
+ * line, so neither side takes a lock or writes a line the other
+ * writes.
  */
 class SpscRing
 {
   public:
-    /** @p capacity (in records) is rounded up to a power of two. */
+    /** @p capacity (in bytes) is rounded up to a power of two. */
     explicit SpscRing(std::size_t capacity);
 
-    /** Producer: append @p r; false when the ring is full. */
-    bool tryPush(const BinRecord &r);
-
-    /** Consumer: pop up to @p max records into @p out; returns count.
-     *  (Decoding convenience for tests; the writer uses peek().) */
-    std::size_t popBulk(BinRecord *out, std::size_t max);
+    /**
+     * Producer: append the @p n bytes at @p p -- one copy, two when
+     * they wrap -- and publish them at once; false, with nothing
+     * written, when fewer than @p n bytes are free.
+     */
+    bool tryPush(const unsigned char *p, std::size_t n);
 
     /**
-     * Consumer: widest contiguous span of encoded records starting at
-     * the read cursor. @p p receives the span's first byte; the return
-     * value is the record count (0 when empty). The span stays valid
-     * until consume().
+     * Consumer: widest contiguous span of bytes starting at the read
+     * cursor. @p p receives the span's first byte; the return value is
+     * its length (0 when empty). The span stays valid until consume().
      */
     std::size_t peek(const unsigned char *&p) const;
 
-    /** Consumer: retire @p n records previously peek()ed. */
+    /** Consumer: retire @p n bytes previously peek()ed. */
     void consume(std::size_t n);
 
-    /** Records currently queued (approximate across threads). */
+    /** Bytes currently queued (approximate across threads). */
     std::size_t
     size() const
     {
@@ -183,23 +192,24 @@ class SpscRing
     std::size_t capacity() const { return cap; }
 
   private:
-    /** cap * wire-bytes, encoded records. */
     std::vector<unsigned char> buf
-        CNSIM_SYNC_NOTE("SPSC: producer writes [tail, head) cells it "
-                        "owns, consumer reads cells head/tail publish");
+        CNSIM_SYNC_NOTE("SPSC: producer writes [head, tail + cap) bytes "
+                        "it owns, consumer reads bytes head publishes");
     const std::size_t cap;
     const std::size_t mask;
-    /** Next record the producer writes (monotonic counter). */
-    std::atomic<std::size_t> head{0};
-    /** Next record the consumer reads (monotonic counter). */
-    std::atomic<std::size_t> tail{0};
+    /** Next byte the producer writes (monotonic counter). */
+    alignas(64) std::atomic<std::size_t> head{0};
+    /** Next byte the consumer reads (monotonic counter). */
+    alignas(64) std::atomic<std::size_t> tail{0};
 };
 
 /**
- * Streams BinRecords to a CNBLG01 file through an SpscRing drained by
- * a background writer thread. One writer per System; begin() is
- * called at the measurement epoch (component and metric registration
- * is complete by then), finish() at the end of the run.
+ * Streams records to a CNBLG002 file: the simulation thread encodes
+ * into a private staging block, full blocks move through an SpscRing,
+ * and a background writer thread drains the ring. One writer per
+ * System; begin() is called at the measurement epoch (component and
+ * metric registration is complete by then), finish() at the end of
+ * the run.
  *
  * A writer owns its path from begin() to finish(), process-wide: two
  * parallel runs given the same binlog_out would otherwise truncate and
@@ -209,8 +219,30 @@ class SpscRing
 class BinlogWriter
 {
   public:
-    /** Remembers @p path; the file opens at begin(). */
-    explicit BinlogWriter(std::string path);
+    /**
+     * Staging-block size: the producer stores records into lines only
+     * it touches and publishes once per block. Against 16 KB on the
+     * fig12-obs ledger workload (4-CPU Xeon, 4 alternating pairs
+     * each), 4 KB ran at 0.98x and 64 KB at 1.01x events_per_s, both
+     * inside the runs' spread.
+     */
+    static constexpr std::size_t block_bytes = std::size_t{16} << 10;
+
+    /**
+     * Ring size: at ~7.2 B per record, 1 MB holds ~140k records, close
+     * to the 1.3 MB of the fixed-width ring it replaced, so peak RSS
+     * holds. Over a 5 s fig12-obs pass (6000+ blocks) the producer
+     * found it full once on 4 CPUs and never when pinned to one CPU.
+     */
+    static constexpr std::size_t ring_bytes = std::size_t{1} << 20;
+
+    /**
+     * Remembers @p path; the file opens at begin(). @p ring_capacity
+     * exists so tests can make blocks wrap a small ring under
+     * backpressure; it must hold a whole block.
+     */
+    explicit BinlogWriter(std::string path,
+                          std::size_t ring_capacity = ring_bytes);
 
     /** Joins the writer thread and seals the file if still open. */
     ~BinlogWriter();
@@ -230,16 +262,16 @@ class BinlogWriter
     /** @return true between begin() and finish(). */
     bool active() const { return begun && !finished; }
 
-    /** Append one trace event (hot path: convert + ring push). */
-    void append(const TraceEvent &ev) { push(toBinRecord(ev)); }
+    /** Append one trace event (hot path: encode into the block). */
+    void append(const TraceEvent &ev);
 
     /** Append one metrics sample for column @p metric_index. */
     void appendMetric(Tick tick, std::uint32_t metric_index,
                       double value);
 
     /**
-     * Stop the writer thread, drain the ring, write the trailer, and
-     * release the path. Idempotent.
+     * Publish the partial block, stop the writer thread, drain the
+     * ring, write the trailer, and release the path. Idempotent.
      */
     void finish();
 
@@ -249,7 +281,9 @@ class BinlogWriter
     const std::string &path() const { return out_path; }
 
   private:
-    void push(const BinRecord &r);
+    /** Encode @p ev's fields as one record of message @p msg. */
+    void put(std::uint16_t msg, const TraceEvent &ev);
+    void publish();
     void writerMain();
 
     const std::string out_path;
@@ -267,11 +301,20 @@ class BinlogWriter
     bool finished CNSIM_SYNC_NOTE("producer thread only") = false;
     std::uint64_t n_appended
         CNSIM_SYNC_NOTE("producer thread only") = 0;
+    /** Encoder state: the bases the next record's deltas start from. */
+    Tick prev_tick CNSIM_SYNC_NOTE("producer thread only") = 0;
+    Addr prev_addr CNSIM_SYNC_NOTE("producer thread only") = 0;
+    /** Bytes of block holding encoded, unpublished records. */
+    std::size_t fill CNSIM_SYNC_NOTE("producer thread only") = 0;
+    std::uint64_t n_published
+        CNSIM_SYNC_NOTE("producer thread only; bytes pushed") = 0;
     std::uint64_t n_written
         CNSIM_SYNC_NOTE("writer thread; producer reads after join()") = 0;
+    alignas(64) unsigned char block[block_bytes]
+        CNSIM_SYNC_NOTE("producer thread only");
 };
 
-/** One decoded message-table entry of a CNBLG01 file. */
+/** One decoded message-table entry of a CNBLG002 file. */
 struct BinlogMessage
 {
     std::uint16_t id = 0;
@@ -279,7 +322,7 @@ struct BinlogMessage
     std::string signature;
 };
 
-/** A fully decoded CNBLG01 stream. */
+/** A fully decoded CNBLG002 stream. */
 struct BinlogData
 {
     std::vector<BinlogMessage> messages;
@@ -292,9 +335,12 @@ struct BinlogData
 };
 
 /**
- * Read a CNBLG01 file written by BinlogWriter. Strict: corrupt
- * headers, truncated streams, missing trailers, record-count
- * mismatches, and unknown message ids are all rejected.
+ * Read a CNBLG002 file written by BinlogWriter. Strict: a wrong magic
+ * (CNBLG001 included), a corrupt header, a missing trailer, a varint
+ * over 10 bytes or 64 bits, a stream ending inside a record, an
+ * unregistered message id, a component or metric column outside its
+ * table, a record count other than the trailer's, and bytes after the
+ * last record are all rejected.
  *
  * @return true on success; on failure @p error (if non-null) receives
  *         a description.

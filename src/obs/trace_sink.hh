@@ -7,15 +7,15 @@
  * branch-predictable pointer test. When enabled, typed emit helpers
  * build a TraceEvent and hand it to record(), which passes it to the
  * protocol auditor (when one is attached) and, once recording is armed
- * at the measurement epoch, to the CNBLG01 binlog, so logged event
+ * at the measurement epoch, to the CNBLG002 binlog, so logged event
  * counts line up with post-reset statistics counters.
  *
  * The sink is owned by one System and never shared: the ParallelRunner
  * determinism contract holds because no process-global state is
  * involved and no event carries wall-clock data.
  *
- * The sink stores nothing: the binlog's hot path is one fixed-size
- * record pushed onto a lock-free ring, and every rendering -- text,
+ * The sink stores nothing: the binlog's hot path encodes one compact
+ * record into a block only this thread touches, and every rendering -- text,
  * summaries, Chrome trace_event JSON -- happens offline in
  * tools/cntrace through the formatters declared below (DESIGN.md 3j).
  */
@@ -47,7 +47,7 @@ struct ObsParams
     bool audit = false;
     /** Ticks between metrics snapshots; 0 disables the registry. */
     Tick metrics_interval = 0;
-    /** Stream events + metrics to this CNBLG01 file; "" disables. */
+    /** Stream events + metrics to this CNBLG002 file; "" disables. */
     std::string binlog_out;
     /** Minimum stall, in ticks, for a core to emit a CoreStall event. */
     Tick core_stall_threshold = 8;

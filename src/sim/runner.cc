@@ -283,7 +283,7 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
 {
     validate(sys_cfg, workload, run_cfg);
 
-    // A binlog-out path streams events to the CNBLG01 binary log.
+    // A binlog-out path streams events to the CNBLG002 binary log.
     SystemConfig sc = sys_cfg;
     if (!run_cfg.binlog_out.empty())
         sc.obs.binlog_out = run_cfg.binlog_out;

@@ -43,7 +43,7 @@ struct RunConfig
     bool collect_stats_dump = false;
     /** Collect the statistics CSV into RunResult::stats_csv. */
     bool collect_stats_csv = false;
-    /** Stream events + metrics to this CNBLG01 binary log ("" = off).
+    /** Stream events + metrics to this CNBLG002 binary log ("" = off).
      *  Setting this implies SystemConfig::obs.binlog_out. */
     std::string binlog_out;
     /**

@@ -3,7 +3,7 @@
 #   cmake -DCMD1=<exe + args> -DCMD2=<exe + args>
 #         -DDIR1=<dir> -DDIR2=<dir> -P binlog_equal.cmake
 #
-# Runs CMD1 (writing CNBLG01 binlogs into DIR1) then CMD2 (into DIR2)
+# Runs CMD1 (writing CNBLG002 binlogs into DIR1) then CMD2 (into DIR2)
 # and fails unless every binlog in DIR1 has a byte-identical twin in
 # DIR2. This pins the binlog determinism contract: the stream's bytes
 # are a pure function of the simulation thread's append order, so

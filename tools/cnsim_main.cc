@@ -105,7 +105,7 @@ usage(const char *argv0)
         "  --stats            dump the full statistics block per run\n"
         "  --stats-csv <file> write per-run statistics as CSV "
         "(l2,workload,name,value)\n"
-        "  --binlog-out <file> stream events + metrics to a CNBLG01 "
+        "  --binlog-out <file> stream events + metrics to a CNBLG002 "
         "binary log\n"
         "                     (lock-free hot path; format offline with "
         "cntrace;\n"

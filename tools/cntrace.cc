@@ -2,7 +2,7 @@
  * @file
  * cntrace: offline inspector for cnsim's on-disk logs.
  *
- * Reads a CNBLG01 binary log written with `cnsim --binlog-out run.blg`
+ * Reads a CNBLG002 binary log written with `cnsim --binlog-out run.blg`
  * and rebuilds the event stream from the message registry embedded in
  * its header. It summarizes the events, dumps them (filtered) as text,
  * converts them to Chrome trace_event JSON, or renders the streamed
