@@ -8,7 +8,9 @@
  * build a TraceEvent and hand it to record(), which passes it to the
  * protocol auditor (when one is attached) and, once recording is armed
  * at the measurement epoch, to the CNBLG002 binlog, so logged event
- * counts line up with post-reset statistics counters.
+ * counts line up with post-reset statistics counters. Timing-only
+ * events (bus transactions, port grants, core stalls) are built only
+ * for an armed binlog: the auditor ignores them.
  *
  * The sink is owned by one System and never shared: the ParallelRunner
  * determinism contract holds because no process-global state is
@@ -101,6 +103,9 @@ class TraceSink
     Tick approxNow() const { return last_tick; }
 
     // Typed emit helpers -- all no-ops when the sink is inactive.
+    // The timing-only ones (busTx, resourceAcquire, coreStall) are
+    // no-ops too while no log is armed: the auditor ignores their
+    // kinds, so their events are never built for it.
 
     /** A coherence transition on @p core's copy of block @p addr. */
     void
@@ -126,7 +131,7 @@ class TraceSink
     void
     busTx(Tick t, int comp, BusCmd cmd, Tick dur)
     {
-        if (!active())
+        if (!logsTiming(t))
             return;
         TraceEvent ev;
         ev.tick = t;
@@ -177,7 +182,7 @@ class TraceSink
     void
     resourceAcquire(Tick t, int comp, Tick wait, Tick occupancy)
     {
-        if (!active())
+        if (!logsTiming(t))
             return;
         TraceEvent ev;
         ev.tick = t;
@@ -192,7 +197,7 @@ class TraceSink
     void
     coreStall(Tick t, int comp, CoreId core, Addr addr, Tick dur)
     {
-        if (!active())
+        if (!logsTiming(t))
             return;
         TraceEvent ev;
         ev.tick = t;
@@ -238,6 +243,21 @@ class TraceSink
     std::uint64_t recordedEvents() const;
 
   private:
+    /**
+     * @return true if a timing-only event at @p t is logged. Without an
+     * armed log the event is dropped unbuilt, and approxNow() advances
+     * to @p t as record() would have advanced it.
+     */
+    bool
+    logsTiming(Tick t)
+    {
+        if (armed)
+            return true;
+        if (auditor)
+            last_tick = t;
+        return false;
+    }
+
     ObsParams params;
     std::vector<std::string> comps;
     ProtocolAuditor *auditor = nullptr;
