@@ -9,6 +9,9 @@
  *   CNSIM_MEASURE  measured instructions per core (default 10M)
  *   CNSIM_JOBS     worker threads for grid sweeps (default: hardware
  *                  concurrency)
+ *   CNSIM_AUDIT    1 runs every cell under the online protocol auditor
+ *                  (default 0); a violation panics, and the printed
+ *                  figures are the same either way
  *
  * The intended bench structure is: build the full experiment grid as
  * GridJobs, prewarm it once with runAll() (which fans the independent
@@ -21,6 +24,7 @@
 #define CNSIM_BENCH_BENCH_UTIL_HH
 
 #include <cerrno>
+#include <cinttypes>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -74,6 +78,18 @@ inline unsigned
 jobsFromEnv()
 {
     return static_cast<unsigned>(envU64("CNSIM_JOBS", 0));
+}
+
+/** @p cfg, with the protocol auditor turned on if CNSIM_AUDIT=1. */
+inline SystemConfig
+auditedFromEnv(SystemConfig cfg)
+{
+    std::uint64_t audit = envU64("CNSIM_AUDIT", 0);
+    if (audit > 1)
+        panic("CNSIM_AUDIT=%" PRIu64 " must be 0 or 1", audit);
+    if (audit)
+        cfg.obs.audit = true;
+    return cfg;
 }
 
 /**
@@ -172,7 +188,8 @@ runAll(const std::vector<GridJob> &grid)
     // every cell of that workload reads it.
     ParallelRunner pool(jobsFromEnv());
     for (const GridJob *g : todo)
-        pool.submit(g->cfg, workloads::byName(g->workload), runConfig());
+        pool.submit(auditedFromEnv(g->cfg), workloads::byName(g->workload),
+                    runConfig());
     pool.onProgress([&](const JobReport &rep) {
         inform("[%zu/%zu] %s/%s: %.1fs", rep.completed, rep.total,
                todo[rep.index]->tag.c_str(),
@@ -205,7 +222,8 @@ run(const std::string &tag, const SystemConfig &cfg,
     RunResult r;
     if (detail::lookup(k, r))
         return r;
-    r = Runner::run(cfg, workloads::byName(workload), runConfig());
+    r = Runner::run(auditedFromEnv(cfg), workloads::byName(workload),
+                    runConfig());
     detail::store(k, r);
     return r;
 }
@@ -221,7 +239,8 @@ run(L2Kind kind, const std::string &workload)
 inline RunResult
 run(const SystemConfig &cfg, const std::string &workload)
 {
-    return Runner::run(cfg, workloads::byName(workload), runConfig());
+    return Runner::run(auditedFromEnv(cfg), workloads::byName(workload),
+                       runConfig());
 }
 
 inline void

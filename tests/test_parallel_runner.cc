@@ -251,6 +251,43 @@ TEST(BenchUtilDeathTest, EnvU64RejectsMalformedValues)
     unsetenv("CNSIM_TEST_BUDGET");
 }
 
+TEST(BenchUtil, AuditSwitchAuditsEveryCell)
+{
+    ASSERT_EQ(setenv("CNSIM_WARMUP", "20000", 1), 0);
+    ASSERT_EQ(setenv("CNSIM_MEASURE", "30000", 1), 0);
+    const SystemConfig cfg = Runner::paperConfig(L2Kind::Private);
+
+    unsetenv("CNSIM_AUDIT");
+    RunResult plain = benchutil::run("audit-off", cfg, "barnes");
+    ASSERT_EQ(setenv("CNSIM_AUDIT", "1", 1), 0);
+    benchutil::runAll({benchutil::job("audit-grid", cfg, "barnes")});
+    RunResult grid = benchutil::run("audit-grid", cfg, "barnes");
+    RunResult single = benchutil::run("audit-single", cfg, "barnes");
+
+    // Both bench paths audit, and auditing changes no result.
+    EXPECT_EQ(plain.audited_transitions, 0u);
+    EXPECT_GT(grid.audited_transitions, 0u);
+    EXPECT_EQ(single.audited_transitions, grid.audited_transitions);
+    EXPECT_EQ(grid.cycles, plain.cycles);
+    EXPECT_EQ(grid.stats_dump, plain.stats_dump);
+
+    unsetenv("CNSIM_AUDIT");
+    unsetenv("CNSIM_WARMUP");
+    unsetenv("CNSIM_MEASURE");
+}
+
+TEST(BenchUtilDeathTest, AuditSwitchRejectsOtherValues)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ASSERT_EQ(setenv("CNSIM_AUDIT", "2", 1), 0);
+    EXPECT_DEATH(benchutil::auditedFromEnv(SystemConfig{}),
+                 "CNSIM_AUDIT=2 must be 0 or 1");
+    ASSERT_EQ(setenv("CNSIM_AUDIT", "on", 1), 0);
+    EXPECT_DEATH(benchutil::auditedFromEnv(SystemConfig{}),
+                 "not a valid unsigned integer");
+    unsetenv("CNSIM_AUDIT");
+}
+
 TEST(BenchUtil, GridCacheReturnsIdenticalResults)
 {
     // Keep the bench budget test-sized.
