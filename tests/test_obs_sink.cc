@@ -139,6 +139,37 @@ TEST(TraceSink, ArmingGatesStorageButNotTheListener)
     EXPECT_EQ(events[0].tick, 15u);
 }
 
+TEST(TraceSink, UnloggedTimingEventsOnlyAdvanceTheClock)
+{
+    // The auditor ignores bus, grant and stall events, so until a log
+    // is armed they are never built; approxNow() still follows them,
+    // because an L1 back-invalidation takes its tick from it.
+    LoggedSink log(tmpPath("timing.blg"));
+    obs::ProtocolAuditor auditor(obs::AuditProtocol::Mesi, 2);
+    log.sink.setAuditor(&auditor);
+    int c = log.sink.registerComponent("x");
+    log.sink.busTx(10, c, BusCmd::BusRd, 8);
+    EXPECT_EQ(log.sink.approxNow(), 10u);
+    log.sink.resourceAcquire(20, c, 4, 8);
+    EXPECT_EQ(log.sink.approxNow(), 20u);
+    log.sink.coreStall(30, c, 1, 0x80, 100);
+    EXPECT_EQ(log.sink.approxNow(), 30u);
+    EXPECT_EQ(auditor.blocksTracked(), 0u);
+
+    // Armed, each of them is logged again.
+    log.arm();
+    log.sink.busTx(40, c, BusCmd::BusRd, 8);
+    log.sink.resourceAcquire(50, c, 4, 8);
+    log.sink.coreStall(60, c, 1, 0x80, 100);
+    EXPECT_EQ(log.sink.approxNow(), 60u);
+    EXPECT_EQ(log.sink.recordedEvents(), 3u);
+    std::vector<obs::TraceEvent> events = log.finish();
+    ASSERT_EQ(events.size(), 3u);
+    EXPECT_EQ(events[0].kind, obs::EventKind::BusTx);
+    EXPECT_EQ(events[1].kind, obs::EventKind::Resource);
+    EXPECT_EQ(events[2].kind, obs::EventKind::CoreStall);
+}
+
 TEST(TraceSink, RegisterComponentDeduplicates)
 {
     obs::TraceSink sink;
