@@ -7,8 +7,8 @@
  * Budgets and parallelism scale with environment variables:
  *   CNSIM_WARMUP   warm-up instructions per core (default 6M)
  *   CNSIM_MEASURE  measured instructions per core (default 10M)
- *   CNSIM_JOBS     worker threads for grid sweeps (default: hardware
- *                  concurrency)
+ *   CNSIM_JOBS     worker threads for grid sweeps (default: one per CPU
+ *                  this process may run on)
  *   CNSIM_AUDIT    1 runs every cell under the online protocol auditor
  *                  (default 0); a violation panics, and the printed
  *                  figures are the same either way
@@ -73,7 +73,8 @@ runConfig()
     return rc;
 }
 
-/** Worker threads for grid sweeps (0 = hardware concurrency). */
+/** Worker threads for grid sweeps (0 = one per CPU this process may
+ *  run on). */
 inline unsigned
 jobsFromEnv()
 {

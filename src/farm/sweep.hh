@@ -50,8 +50,9 @@ struct SweepResult
 };
 
 /**
- * Run @p cells on @p jobs threads (0 = hardware concurrency) behind
- * @p cache; a disabled cache runs every cell and stores nothing.
+ * Run @p cells on @p jobs threads (0 = one per CPU this process may
+ * run on) behind @p cache; a disabled cache runs every cell and stores
+ * nothing.
  */
 SweepResult runSweep(const std::vector<CellSpec> &cells,
                      const Cache &cache, unsigned jobs);

@@ -1,5 +1,10 @@
 #include "sim/parallel_runner.hh"
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -21,8 +26,13 @@ ParallelRunner::ParallelRunner(unsigned workers)
 unsigned
 ParallelRunner::defaultWorkers()
 {
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+#ifdef __linux__
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        return static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
+#endif
+    return std::max(1u, std::thread::hardware_concurrency());
 }
 
 std::size_t

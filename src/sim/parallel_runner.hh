@@ -109,7 +109,11 @@ class ParallelRunner
     /** Number of jobs currently queued. */
     std::size_t pending() const { return jobs.size(); }
 
-    /** std::thread::hardware_concurrency, clamped to at least 1. */
+    /**
+     * The CPUs this process may run on: the affinity mask's count on
+     * Linux (so `taskset -c 2` gives 1), else
+     * std::thread::hardware_concurrency; at least 1.
+     */
     static unsigned defaultWorkers();
 
     /** One-shot convenience: submit @p batch, run, return results. */

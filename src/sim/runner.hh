@@ -190,8 +190,9 @@ class Runner
      * warming one), so N repetitions pay one warm-up instead of N.
      *
      * The repetitions are independent and fan out over @p jobs worker
-     * threads (0 = hardware concurrency); the per-repetition seeds and
-     * the reported statistics are identical for every @p jobs value.
+     * threads (0 = one per CPU this process may run on); the
+     * per-repetition seeds and the reported statistics are identical
+     * for every @p jobs value.
      * The spread uses Welford's online algorithm with the sample (n-1)
      * variance, which is numerically stable for the tightly clustered
      * IPCs perturbation produces.

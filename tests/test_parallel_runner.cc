@@ -4,11 +4,16 @@
  * rides on it: determinism across worker counts (the load-bearing
  * guarantee -- a sweep must produce bit-identical results whether it
  * runs on 1 thread or 16), submission-order result collection,
- * progress reporting, the Welford-based variability statistics, and
+ * progress reporting, the default worker count under a narrowed
+ * affinity mask, the Welford-based variability statistics, and
  * benchutil::envU64's rejection of malformed budgets.
  */
 
 #include <gtest/gtest.h>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include <algorithm>
 #include <cmath>
@@ -159,6 +164,32 @@ TEST(ParallelRunner, EmptyBatchReturnsEmpty)
     ParallelRunner pool(4);
     EXPECT_TRUE(pool.run().empty());
 }
+
+#ifdef __linux__
+TEST(ParallelRunner, DefaultWorkersCountsTheAffinityMask)
+{
+    cpu_set_t saved;
+    CPU_ZERO(&saved);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(ParallelRunner::defaultWorkers(),
+              static_cast<unsigned>(CPU_COUNT(&saved)));
+
+    // Narrow this thread to one CPU of its mask, as `taskset -c N`
+    // does: hardware_concurrency() would still count every CPU.
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &saved))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    unsigned narrowed = ParallelRunner::defaultWorkers();
+    unsigned pool = ParallelRunner().workers();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(narrowed, 1u);
+    EXPECT_EQ(pool, 1u);
+}
+#endif
 
 TEST(Variability, SameStatisticsForAnyWorkerCount)
 {

@@ -15,12 +15,12 @@
  *
  * Every invocation is a grid of (L2 kind x workload) cells, each one a
  * farm::CellSpec, run by farm::runSweep over --jobs worker threads
- * (default: hardware concurrency). Results are printed in grid order
- * and are byte-identical for every --jobs value; per-cell progress and
- * elapsed time go to stderr. --cache-dir puts the content-addressed
- * result and checkpoint cache in front of the grid: a repeated sweep is
- * read back from disk and a re-budgeted one resumes from cached warm
- * state, printing the same bytes.
+ * (default: one per CPU this process may run on). Results are printed
+ * in grid order and are byte-identical for every --jobs value;
+ * per-cell progress and elapsed time go to stderr. --cache-dir puts
+ * the content-addressed result and checkpoint cache in front of the
+ * grid: a repeated sweep is read back from disk and a re-budgeted one
+ * resumes from cached warm state, printing the same bytes.
  */
 
 #include <cstdint>
@@ -70,8 +70,9 @@ usage(const char *argv0)
         "  --measure <N>      measured instructions per core (> 0)\n"
         "  --seed <N>         workload seed (default 1)\n"
         "  --jobs <N>         worker threads for grid sweeps (default: "
-        "hardware\n"
-        "                     concurrency; results identical for any N)\n"
+        "one per CPU\n"
+        "                     this process may run on; results identical "
+        "for any N)\n"
         "  --cache-dir <dir>  look up and store results and warmed "
         "checkpoints in\n"
         "                     this content-addressed cache (default: "
