@@ -43,8 +43,6 @@ eventName(const TraceEvent &ev)
 
 } // namespace
 
-TraceSink::TraceSink(const ObsParams &p) : params(p) {}
-
 int
 TraceSink::registerComponent(const std::string &path)
 {

@@ -51,16 +51,12 @@ struct ObsParams
     Tick metrics_interval = 0;
     /** Stream events + metrics to this CNBLG002 file; "" disables. */
     std::string binlog_out;
-    /** Minimum stall, in ticks, for a core to emit a CoreStall event. */
-    Tick core_stall_threshold = 8;
 };
 
 /** A per-run recorder of typed simulator events. */
 class TraceSink
 {
   public:
-    explicit TraceSink(const ObsParams &p = ObsParams{});
-
     /**
      * Register a component track by dotted path (e.g.
      * "l2.nurapid.core0.tag"); repeated registration of the same path
@@ -233,7 +229,7 @@ class TraceSink
     }
 
     /** Minimum stall, in ticks, for cores to emit CoreStall events. */
-    Tick stallThreshold() const { return params.core_stall_threshold; }
+    Tick stallThreshold() const { return core_stall_threshold; }
 
     /** @return 0: the sink drops no event. */
     std::uint64_t dropped() const { return 0; }
@@ -258,7 +254,8 @@ class TraceSink
         return false;
     }
 
-    ObsParams params;
+    static constexpr Tick core_stall_threshold = 8;
+
     std::vector<std::string> comps;
     ProtocolAuditor *auditor = nullptr;
     BinlogWriter *binlog = nullptr;

@@ -125,7 +125,7 @@ System::System(const SystemConfig &c) : cfg(c)
     // Observability: one sink per System, never shared, so parallel
     // runs stay deterministic and traced runs stay reproducible.
     if (cfg.obs.audit || !cfg.obs.binlog_out.empty()) {
-        sink_ = std::make_unique<obs::TraceSink>(cfg.obs);
+        sink_ = std::make_unique<obs::TraceSink>();
         icn->attachSink(sink_.get());
         mem->attachSink(sink_.get());
         l2_org->setTraceSink(sink_.get());
