@@ -125,12 +125,12 @@ class ParallelRunner
     /**
      * Fewest jobs drawing one stream for which run() materializes it.
      * Materializing pays the generator once plus one flat-chunk read
-     * per sharer; generating pays the generator per sharer. With the
-     * generator at ~2.7% of a cell's runtime (BENCH_perf.json
-     * `generator_share`) and the flat read at ~0.7%, materializing
-     * wins whenever N * generator_share > generator_share +
-     * N * read_share, i.e. from two sharers up. A lone job's stream is
-     * below that break-even, so it is generated.
+     * per sharer; generating pays the generator per sharer, so with
+     * the read cheaper than the generator materializing wins from two
+     * sharers up. PerfFloor.MaterializedStreamNotSlowerThanGenerating
+     * holds seven oltp sharers materialized at least as fast as seven
+     * generating runs; it measured 1.2-1.5x on a 4-CPU Xeon. A lone
+     * job's stream is below the break-even, so it is generated.
      */
     static constexpr unsigned min_stream_sharers = 2;
 

@@ -99,8 +99,8 @@ struct RunResult
     std::uint64_t instructions = 0;
     std::uint64_t cycles = 0;
     /** Events executed by the kernel over the whole run (1 per trace
-     *  record per core, plus startup) -- the perf-gate "accesses"
-     *  denominator. */
+     *  record per core, plus startup) -- the numerator of the ledger's
+     *  events_per_s. */
     std::uint64_t events_executed = 0;
     /** Aggregate IPC across all cores over the measurement epoch (the
      *  window mean for sampled runs). */

@@ -14,8 +14,8 @@
  * bit-identical reference stream.
  *
  * In-memory chunks are deliberately *not* varint-packed: profiling the
- * packed read path (bench/perf_gate's sweep scenario) measured the
- * per-record varint decode costing as much as generation itself
+ * packed read path on a seven-org sweep measured the per-record varint
+ * decode costing as much as generation itself
  * (~25 ns each on the baseline host), which capped a replay-backed
  * sweep at parity with regenerating the stream in every cell. A flat
  * TraceRecord array trades ~3x the trace memory (24 B/record vs ~8 B
