@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,7 +46,7 @@ constexpr L2Kind all_orgs[] = {
     L2Kind::Shared, L2Kind::Private, L2Kind::Snuca, L2Kind::Ideal,
     L2Kind::Nurapid, L2Kind::Update, L2Kind::Dnuca,
 };
-constexpr std::size_t num_orgs = sizeof(all_orgs) / sizeof(all_orgs[0]);
+constexpr std::size_t num_orgs = std::size(all_orgs);
 
 double
 nowSeconds()
@@ -57,12 +58,12 @@ nowSeconds()
         .count();
 }
 
+/** Median of an odd number of reps. */
 double
 median(std::vector<double> v)
 {
     std::sort(v.begin(), v.end());
-    std::size_t n = v.size();
-    return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+    return v[v.size() / 2];
 }
 
 /** oltp at 500k + 1M instructions per core, seed 1. */
@@ -83,16 +84,15 @@ streamSweepSeconds(bool materialized)
 {
     WorkloadSpec wl = workloads::byName("oltp");
     RunConfig rc = sweepRun();
-    ParallelRunner pool(1);
     double t0 = nowSeconds();
-    for (L2Kind k : all_orgs) {
-        if (materialized)
-            pool.submit(Runner::paperConfig(k), wl, rc);
-        else
-            (void)Runner::run(Runner::paperConfig(k), wl, rc);
-    }
     if (materialized) {
+        ParallelRunner pool(1);
+        for (L2Kind k : all_orgs)
+            pool.submit(Runner::paperConfig(k), wl, rc);
         EXPECT_EQ(pool.run().size(), num_orgs);
+    } else {
+        for (L2Kind k : all_orgs)
+            (void)Runner::run(Runner::paperConfig(k), wl, rc);
     }
     return nowSeconds() - t0;
 }
