@@ -1,18 +1,23 @@
 # Golden digest check, run as a ctest via `cmake -P`.
 #
 #   cmake -DCMD=<exe + args> -DOUT=<file> -DGOLDEN=<digest file>
-#         [-DCAPTURE=ON] -P golden_sha256.cmake
+#         [-DCAPTURE=ON] [-DCLEAN_DIR=<dir>] -P golden_sha256.cmake
 #
-# Runs CMD and fails unless the SHA-256 of OUT equals the hex digest on
-# the first line of GOLDEN. With CAPTURE, OUT receives CMD's stdout;
-# without it, CMD must write OUT itself. This pins outputs too large to
-# commit as text, such as the Chrome JSON and the full text dump that
-# cntrace renders from a logged run.
+# Empties CLEAN_DIR (so a cache-backed run starts cold), runs CMD and
+# fails unless the SHA-256 of OUT equals the hex digest on the first
+# line of GOLDEN. With CAPTURE, OUT receives CMD's stdout; without it,
+# CMD must write OUT itself. This pins outputs too large to commit as
+# text, such as the Chrome JSON and the full text dump that cntrace
+# renders from a logged run, and the bytes of the binary file formats.
 
 if(NOT DEFINED CMD OR NOT DEFINED OUT OR NOT DEFINED GOLDEN)
     message(FATAL_ERROR "golden_sha256: CMD, OUT, and GOLDEN are required")
 endif()
 
+if(DEFINED CLEAN_DIR)
+    file(REMOVE_RECURSE "${CLEAN_DIR}")
+    file(MAKE_DIRECTORY "${CLEAN_DIR}")
+endif()
 file(REMOVE "${OUT}")
 separate_arguments(cmd_list UNIX_COMMAND "${CMD}")
 if(CAPTURE)
