@@ -1,8 +1,8 @@
 #include "cache/l1_cache.hh"
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
 #include "obs/trace_sink.hh"
-#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -170,7 +170,7 @@ L1Cache::flushAll()
 }
 
 void
-L1Cache::saveState(sample::Writer &w) const
+L1Cache::saveState(ByteWriter &w) const
 {
     w.u32(static_cast<std::uint32_t>(blocks.size()));
     w.u64(lru_clock);
@@ -184,12 +184,12 @@ L1Cache::saveState(sample::Writer &w) const
 }
 
 void
-L1Cache::loadState(sample::Reader &r)
+L1Cache::loadState(ByteReader &r)
 {
     std::uint32_t n = r.u32();
-    cnsim_assert(n == blocks.size(),
-                 "checkpoint has %u blocks for L1 '%s' with %zu", n,
-                 _name.c_str(), blocks.size());
+    if (n != blocks.size())
+        r.fail("L1 '%s' of %u blocks does not fit this run's %zu",
+               _name.c_str(), n, blocks.size());
     lru_clock = r.u64();
     for (Block &b : blocks) {
         b.tag = r.u64();

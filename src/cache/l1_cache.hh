@@ -32,11 +32,8 @@ namespace obs
 class TraceSink;
 } // namespace obs
 
-namespace sample
-{
-class Writer;
-class Reader;
-} // namespace sample
+class ByteReader;
+class ByteWriter;
 
 /** Parameters for an L1 cache. */
 struct L1Params
@@ -118,10 +115,10 @@ class L1Cache
     }
 
     /** Serialize contents + LRU state into a checkpoint. */
-    void saveState(sample::Writer &w) const;
+    void saveState(ByteWriter &w) const;
 
     /** Restore contents + LRU state from a checkpoint. */
-    void loadState(sample::Reader &r);
+    void loadState(ByteReader &r);
 
     /**
      * Emit an L1BackInval event into @p s whenever a back-invalidation

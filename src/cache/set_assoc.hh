@@ -17,9 +17,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
-#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -165,12 +165,12 @@ class SetAssocArray
     /**
      * Serialize the array into a checkpoint: geometry guard, the LRU
      * clock and per-way stamps, and each block through @p save_block
-     * (void(sample::Writer&, const BlockT&)), which writes the
+     * (void(ByteWriter&, const BlockT&)), which writes the
      * organization-specific fields.
      */
     template <typename SaveBlockFn>
     void
-    saveState(sample::Writer &w, SaveBlockFn save_block) const
+    saveState(ByteWriter &w, SaveBlockFn save_block) const
     {
         w.u32(_num_sets);
         w.u32(_assoc);
@@ -183,19 +183,20 @@ class SetAssocArray
 
     /**
      * Restore from a checkpoint written by saveState. @p load_block
-     * (void(sample::Reader&, BlockT&)) reads the organization-specific
+     * (void(ByteReader&, BlockT&)) reads the organization-specific
      * fields including `valid` and `addr`; the packed tag mirror is
      * rebuilt from those afterwards.
      */
     template <typename LoadBlockFn>
     void
-    loadState(sample::Reader &r, LoadBlockFn load_block)
+    loadState(ByteReader &r, LoadBlockFn load_block)
     {
         std::uint32_t sets = r.u32();
         std::uint32_t ways = r.u32();
-        cnsim_assert(sets == _num_sets && ways == _assoc,
-                     "checkpoint array geometry %ux%u mismatches %ux%u",
-                     sets, ways, _num_sets, _assoc);
+        if (sets != _num_sets || ways != _assoc)
+            r.fail("cache array of %u sets x %u ways does not fit this "
+                   "run's %u x %u",
+                   sets, ways, _num_sets, _assoc);
         lru_clock = r.u64();
         for (std::uint64_t &stamp : way_lru)
             stamp = r.u64();

@@ -3,12 +3,12 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "common/bytes.hh"
 #include "common/fnv.hh"
 #include "common/logging.hh"
 #include "farm/cell.hh"
@@ -50,18 +50,6 @@ makeDirs(const std::string &dir)
     return true;
 }
 
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    out = ss.str();
-    return in.good() || in.eof();
-}
-
 } // namespace
 
 Cache::Cache(const std::string &dir) : root(dir)
@@ -88,7 +76,7 @@ Cache::loadEntry(char kind, std::uint64_t key, std::string &payload) const
         return false;
     std::string path = entryPath(kind, key);
     std::string bytes;
-    if (!readFile(path, bytes))
+    if (!readFile(path, bytes).ok())
         return false;
 
     auto reject = [&](const char *why) {
@@ -97,13 +85,13 @@ Cache::loadEntry(char kind, std::uint64_t key, std::string &payload) const
         ::unlink(path.c_str());
         return false;
     };
-    std::uint64_t stored = 0;
-    if (bytes.size() < entry_header + sizeof(stored) ||
+    constexpr std::size_t sum_bytes = sizeof(std::uint64_t);
+    if (bytes.size() < entry_header + sum_bytes ||
         std::memcmp(bytes.data(), entry_magic, sizeof(entry_magic)) != 0)
         return reject("bad magic");
-    const std::size_t body = bytes.size() - sizeof(stored);
-    std::memcpy(&stored, bytes.data() + body, sizeof(stored));
-    if (fnv1a(bytes.data(), body) != stored)
+    const std::size_t body = bytes.size() - sum_bytes;
+    if (fnv1a(bytes.data(), body) !=
+        ByteReader(bytes.data() + body, sum_bytes, path).u64())
         return reject("checksum mismatch");
     if (bytes[sizeof(entry_magic)] != kind)
         return reject("wrong entry kind");
@@ -117,20 +105,18 @@ Cache::storeEntry(char kind, std::uint64_t key,
 {
     if (!enabled())
         return;
-    std::string bytes(entry_magic, sizeof(entry_magic));
-    bytes += kind;
-    bytes += payload;
-    std::uint64_t sum = fnv1a(bytes.data(), bytes.size());
-    bytes.append(reinterpret_cast<const char *>(&sum), sizeof(sum));
+    ByteWriter w;
+    w.raw(entry_magic, sizeof(entry_magic));
+    w.u8(static_cast<std::uint8_t>(kind));
+    w.raw(payload.data(), payload.size());
+    w.u64(fnv1a(w.bytes().data(), w.bytes().size()));
 
     std::string path = entryPath(kind, key);
     std::string tmp =
         path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.close();
-    if (!out) {
-        warn("cannot write cache entry '%s'", tmp.c_str());
+    if (FileStatus s = writeFile(tmp, w.bytes()); !s.ok()) {
+        warn("cannot write cache entry '%s' (%s)", tmp.c_str(),
+             s.error.c_str());
         ::unlink(tmp.c_str());
         return;
     }

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/bytes.hh"
 #include "common/fnv.hh"
 #include "sample/checkpoint.hh"
 
@@ -15,7 +16,7 @@ namespace
 
 /** Serialize every field of @p s: the body of the result-cache key. */
 void
-putKeyFields(sample::Writer &w, const CellSpec &s)
+putKeyFields(ByteWriter &w, const CellSpec &s)
 {
     w.u32(s.l2_kind);
     w.u32(s.cores);
@@ -75,7 +76,7 @@ traceHash(const CellSpec &s)
 }
 
 void
-putBuckets(sample::Writer &w, const ReuseBuckets &b)
+putBuckets(ByteWriter &w, const ReuseBuckets &b)
 {
     w.f64(b.zero);
     w.f64(b.one);
@@ -85,7 +86,7 @@ putBuckets(sample::Writer &w, const ReuseBuckets &b)
 }
 
 ReuseBuckets
-getBuckets(sample::Reader &r)
+getBuckets(ByteReader &r)
 {
     ReuseBuckets b;
     b.zero = r.f64();
@@ -97,7 +98,7 @@ getBuckets(sample::Reader &r)
 }
 
 void
-putF64Vec(sample::Writer &w, const std::vector<double> &v)
+putF64Vec(ByteWriter &w, const std::vector<double> &v)
 {
     w.u32(static_cast<std::uint32_t>(v.size()));
     for (double d : v)
@@ -105,7 +106,7 @@ putF64Vec(sample::Writer &w, const std::vector<double> &v)
 }
 
 std::vector<double>
-getF64Vec(sample::Reader &r)
+getF64Vec(ByteReader &r)
 {
     std::uint32_t n = r.u32();
     std::vector<double> v;
@@ -127,7 +128,7 @@ CellSpec::label() const
 std::uint64_t
 cellKey(const CellSpec &spec)
 {
-    sample::Writer w;
+    ByteWriter w;
     w.raw("CNFARMR1", 8);
     w.u32(farm_format_version);
     w.u32(sample::Checkpoint::current_version);
@@ -148,7 +149,7 @@ ckptKey(const CellSpec &spec)
     // side fields (measure, sample detail, stats/obs switches) stay
     // out, which is exactly what lets a modified sweep share warm
     // state with the sweep that populated the cache.
-    sample::Writer w;
+    ByteWriter w;
     w.raw("CNFARMC1", 8);
     w.u32(farm_format_version);
     w.u32(sample::Checkpoint::current_version);
@@ -203,7 +204,7 @@ buildJob(const CellSpec &spec)
 std::string
 serializeResult(const RunResult &r)
 {
-    sample::Writer w;
+    ByteWriter w;
     w.str(r.workload);
     w.str(r.l2_kind);
     w.u64(r.instructions);
@@ -238,7 +239,7 @@ serializeResult(const RunResult &r)
 RunResult
 deserializeResult(const std::string &bytes, const std::string &what)
 {
-    sample::Reader rd(bytes.data(), bytes.size(), what);
+    ByteReader rd(bytes.data(), bytes.size(), "cached result '" + what + "'");
     RunResult r;
     r.workload = rd.str();
     r.l2_kind = rd.str();

@@ -2,9 +2,9 @@
 
 #include <cmath>
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
 #include "obs/trace_sink.hh"
-#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -260,9 +260,9 @@ DnucaL2::validBlockCount() const
 }
 
 void
-DnucaL2::saveState(sample::Writer &w) const
+DnucaL2::saveState(ByteWriter &w) const
 {
-    array.saveState(w, [](sample::Writer &out, const Block &b) {
+    array.saveState(w, [](ByteWriter &out, const Block &b) {
         out.u64(b.addr);
         out.u8(static_cast<std::uint8_t>((b.valid ? 1 : 0) |
                                          (b.dirty ? 2 : 0)));
@@ -275,9 +275,9 @@ DnucaL2::saveState(sample::Writer &w) const
 }
 
 void
-DnucaL2::loadState(sample::Reader &r)
+DnucaL2::loadState(ByteReader &r)
 {
-    array.loadState(r, [](sample::Reader &in, Block &b) {
+    array.loadState(r, [](ByteReader &in, Block &b) {
         b.addr = in.u64();
         std::uint8_t flags = in.u8();
         b.valid = flags & 1;

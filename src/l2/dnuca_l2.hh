@@ -65,8 +65,8 @@ class DnucaL2 : public L2Org
 
     std::uint64_t migrations() const { return n_migrations.value(); }
 
-    void saveState(sample::Writer &w) const override;
-    void loadState(sample::Reader &r) override;
+    void saveState(ByteWriter &w) const override;
+    void loadState(ByteReader &r) override;
     std::uint64_t validBlockCount() const override;
 
   private:

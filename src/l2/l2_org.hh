@@ -29,11 +29,8 @@ namespace obs
 class TraceSink;
 } // namespace obs
 
-namespace sample
-{
-class Writer;
-class Reader;
-} // namespace sample
+class ByteReader;
+class ByteWriter;
 
 /** Base class for L2 cache organizations. */
 class L2Org
@@ -82,11 +79,11 @@ class L2Org
      * checkpoint payload. Pure so a new organization cannot silently
      * opt out of checkpointing.
      */
-    virtual void saveState(sample::Writer &w) const = 0;
+    virtual void saveState(ByteWriter &w) const = 0;
 
     /** Restore state written by saveState on an identically-configured
      * organization. */
-    virtual void loadState(sample::Reader &r) = 0;
+    virtual void loadState(ByteReader &r) = 0;
 
     /** Valid data copies currently resident (checkpoint inspector's
      *  occupancy summary). */

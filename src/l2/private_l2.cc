@@ -1,8 +1,8 @@
 #include "l2/private_l2.hh"
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
 #include "obs/trace_sink.hh"
-#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -308,13 +308,13 @@ PrivateL2::validBlockCount() const
 }
 
 void
-PrivateL2::saveState(sample::Writer &w) const
+PrivateL2::saveState(ByteWriter &w) const
 {
     // Reuse-tracker distributions are epoch stats (reset at the
     // measurement boundary on both the save and restore paths), so
     // only the per-block reuse counters travel.
     for (std::size_t c = 0; c < caches.size(); ++c) {
-        caches[c].saveState(w, [](sample::Writer &out, const Block &b) {
+        caches[c].saveState(w, [](ByteWriter &out, const Block &b) {
             out.u64(b.addr);
             out.u8(static_cast<std::uint8_t>(
                 (b.valid ? 1 : 0) | (b.ifetch_filled ? 2 : 0)));
@@ -327,10 +327,10 @@ PrivateL2::saveState(sample::Writer &w) const
 }
 
 void
-PrivateL2::loadState(sample::Reader &r)
+PrivateL2::loadState(ByteReader &r)
 {
     for (std::size_t c = 0; c < caches.size(); ++c) {
-        caches[c].loadState(r, [](sample::Reader &in, Block &b) {
+        caches[c].loadState(r, [](ByteReader &in, Block &b) {
             b.addr = in.u64();
             std::uint8_t flags = in.u8();
             b.valid = flags & 1;

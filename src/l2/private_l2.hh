@@ -71,8 +71,8 @@ class PrivateL2 : public L2Org
     /** Coherence state of @p addr in @p core's cache (tests). */
     CohState stateOf(CoreId core, Addr addr) const;
 
-    void saveState(sample::Writer &w) const override;
-    void loadState(sample::Reader &r) override;
+    void saveState(ByteWriter &w) const override;
+    void loadState(ByteReader &r) override;
     std::uint64_t validBlockCount() const override;
 
   private:

@@ -1,8 +1,8 @@
 #include "l2/shared_l2.hh"
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
 #include "obs/trace_sink.hh"
-#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -197,9 +197,9 @@ SharedL2::resetStats()
 }
 
 void
-SharedL2::saveState(sample::Writer &w) const
+SharedL2::saveState(ByteWriter &w) const
 {
-    array.saveState(w, [](sample::Writer &out, const Block &b) {
+    array.saveState(w, [](ByteWriter &out, const Block &b) {
         out.u64(b.addr);
         out.u8(static_cast<std::uint8_t>((b.valid ? 1 : 0) |
                                          (b.dirty ? 2 : 0)));
@@ -210,9 +210,9 @@ SharedL2::saveState(sample::Writer &w) const
 }
 
 void
-SharedL2::loadState(sample::Reader &r)
+SharedL2::loadState(ByteReader &r)
 {
-    array.loadState(r, [](sample::Reader &in, Block &b) {
+    array.loadState(r, [](ByteReader &in, Block &b) {
         b.addr = in.u64();
         std::uint8_t flags = in.u8();
         b.valid = flags & 1;

@@ -69,8 +69,8 @@ class SharedL2 : public L2Org
     /** @return the number of valid blocks currently cached. */
     std::uint64_t validBlocks() const;
 
-    void saveState(sample::Writer &w) const override;
-    void loadState(sample::Reader &r) override;
+    void saveState(ByteWriter &w) const override;
+    void loadState(ByteReader &r) override;
 
     std::uint64_t validBlockCount() const override
     {

@@ -2,8 +2,8 @@
 
 #include <cmath>
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
-#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -123,7 +123,7 @@ SnucaL2::setTraceSink(obs::TraceSink *s)
 }
 
 void
-SnucaL2::saveState(sample::Writer &w) const
+SnucaL2::saveState(ByteWriter &w) const
 {
     inner->saveState(w);
     for (const auto &p : bank_ports)
@@ -131,7 +131,7 @@ SnucaL2::saveState(sample::Writer &w) const
 }
 
 void
-SnucaL2::loadState(sample::Reader &r)
+SnucaL2::loadState(ByteReader &r)
 {
     inner->loadState(r);
     for (auto &p : bank_ports)

@@ -73,8 +73,8 @@ class SnucaL2 : public L2Org
     /** Mean bank latency over all banks for @p core. */
     double meanLatency(CoreId core) const;
 
-    void saveState(sample::Writer &w) const override;
-    void loadState(sample::Reader &r) override;
+    void saveState(ByteWriter &w) const override;
+    void loadState(ByteReader &r) override;
 
     std::uint64_t validBlockCount() const override
     {

@@ -1,8 +1,8 @@
 #include "l2/update_l2.hh"
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
 #include "obs/trace_sink.hh"
-#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -321,10 +321,10 @@ UpdateL2::validBlockCount() const
 }
 
 void
-UpdateL2::saveState(sample::Writer &w) const
+UpdateL2::saveState(ByteWriter &w) const
 {
     for (std::size_t c = 0; c < caches.size(); ++c) {
-        caches[c].saveState(w, [](sample::Writer &out, const Block &b) {
+        caches[c].saveState(w, [](ByteWriter &out, const Block &b) {
             out.u64(b.addr);
             out.u8(static_cast<std::uint8_t>((b.valid ? 1 : 0) |
                                              (b.owner ? 2 : 0)));
@@ -335,10 +335,10 @@ UpdateL2::saveState(sample::Writer &w) const
 }
 
 void
-UpdateL2::loadState(sample::Reader &r)
+UpdateL2::loadState(ByteReader &r)
 {
     for (std::size_t c = 0; c < caches.size(); ++c) {
-        caches[c].loadState(r, [](sample::Reader &in, Block &b) {
+        caches[c].loadState(r, [](ByteReader &in, Block &b) {
             b.addr = in.u64();
             std::uint8_t flags = in.u8();
             b.valid = flags & 1;

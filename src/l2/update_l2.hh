@@ -70,8 +70,8 @@ class UpdateL2 : public L2Org
 
     std::uint64_t updatesSent() const { return n_updates.value(); }
 
-    void saveState(sample::Writer &w) const override;
-    void loadState(sample::Reader &r) override;
+    void saveState(ByteWriter &w) const override;
+    void loadState(ByteReader &r) override;
     std::uint64_t validBlockCount() const override;
 
   private:

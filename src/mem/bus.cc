@@ -1,7 +1,7 @@
 #include "mem/bus.hh"
 
+#include "common/bytes.hh"
 #include "obs/trace_sink.hh"
-#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -65,13 +65,13 @@ SnoopBus::resetStats()
 }
 
 void
-SnoopBus::saveState(sample::Writer &w) const
+SnoopBus::saveState(ByteWriter &w) const
 {
     slot.saveState(w);
 }
 
 void
-SnoopBus::loadState(sample::Reader &r)
+SnoopBus::loadState(ByteReader &r)
 {
     slot.loadState(r);
 }

@@ -93,8 +93,8 @@ class SnoopBus : public Interconnect
 
     [[nodiscard]] Tick latency() const override { return params.latency; }
 
-    void saveState(sample::Writer &w) const override;
-    void loadState(sample::Reader &r) override;
+    void saveState(ByteWriter &w) const override;
+    void loadState(ByteReader &r) override;
 
   private:
     /** Arbitrate for the address slot and account one transaction.

@@ -59,7 +59,7 @@ class Crossbar
 
     /** Serialize every d-group port's occupancy into a checkpoint. */
     void
-    saveState(sample::Writer &w) const
+    saveState(ByteWriter &w) const
     {
         for (const auto &p : ports)
             p->saveState(w);
@@ -67,7 +67,7 @@ class Crossbar
 
     /** Restore d-group port occupancy from a checkpoint. */
     void
-    loadState(sample::Reader &r)
+    loadState(ByteReader &r)
     {
         for (auto &p : ports)
             p->loadState(r);

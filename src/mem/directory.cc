@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
 #include "obs/trace_sink.hh"
-#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -243,7 +243,7 @@ DirectoryInterconnect::resetStats()
 }
 
 void
-DirectoryInterconnect::saveState(sample::Writer &w) const
+DirectoryInterconnect::saveState(ByteWriter &w) const
 {
     net.saveState(w);
     // FlatMap iterates in hash order, which is not part of the
@@ -267,7 +267,7 @@ DirectoryInterconnect::saveState(sample::Writer &w) const
 }
 
 void
-DirectoryInterconnect::loadState(sample::Reader &r)
+DirectoryInterconnect::loadState(ByteReader &r)
 {
     net.loadState(r);
     dir.clear();

@@ -140,8 +140,8 @@ class DirectoryInterconnect : public Interconnect
     [[nodiscard]] const Noc &noc() const { return net; }
     [[nodiscard]] CohMode mode() const { return coh_mode; }
 
-    void saveState(sample::Writer &w) const override;
-    void loadState(sample::Reader &r) override;
+    void saveState(ByteWriter &w) const override;
+    void loadState(ByteReader &r) override;
 
   private:
     /** Common path of transaction/postedTransaction. */

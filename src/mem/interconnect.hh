@@ -46,11 +46,8 @@ namespace obs
 class TraceSink;
 } // namespace obs
 
-namespace sample
-{
-class Writer;
-class Reader;
-} // namespace sample
+class ByteReader;
+class ByteWriter;
 
 /** Which interconnect fabric couples the L2 organizations. */
 enum class InterconnectKind
@@ -177,10 +174,10 @@ class Interconnect
 
     /** Serialize fabric state (slot/link occupancy, directory
      *  membership) into a checkpoint. */
-    virtual void saveState(sample::Writer &w) const = 0;
+    virtual void saveState(ByteWriter &w) const = 0;
 
     /** Restore fabric state from a checkpoint. */
-    virtual void loadState(sample::Reader &r) = 0;
+    virtual void loadState(ByteReader &r) = 0;
 };
 
 } // namespace cnsim

@@ -61,10 +61,10 @@ class MainMemory
     }
 
     /** Serialize channel occupancy into a checkpoint. */
-    void saveState(sample::Writer &w) const { channels_res.saveState(w); }
+    void saveState(ByteWriter &w) const { channels_res.saveState(w); }
 
     /** Restore channel occupancy from a checkpoint. */
-    void loadState(sample::Reader &r) { channels_res.loadState(r); }
+    void loadState(ByteReader &r) { channels_res.loadState(r); }
 
   private:
     MemoryParams params;

@@ -1,8 +1,8 @@
 #include "mem/noc.hh"
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
 #include "obs/trace_sink.hh"
-#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -182,7 +182,7 @@ Noc::attachSink(obs::TraceSink *s)
 }
 
 void
-Noc::saveState(sample::Writer &w_) const
+Noc::saveState(ByteWriter &w_) const
 {
     // Fixed iteration order (node * 4 + dir); geometry is derived from
     // the config, so only the occupancies travel.
@@ -192,7 +192,7 @@ Noc::saveState(sample::Writer &w_) const
 }
 
 void
-Noc::loadState(sample::Reader &r)
+Noc::loadState(ByteReader &r)
 {
     for (auto &l : links)
         if (l)

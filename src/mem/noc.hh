@@ -96,10 +96,10 @@ class Noc
     void attachSink(obs::TraceSink *s);
 
     /** Serialize every link's occupancy into a checkpoint. */
-    void saveState(sample::Writer &w) const;
+    void saveState(ByteWriter &w) const;
 
     /** Restore link occupancy from a checkpoint. */
-    void loadState(sample::Reader &r);
+    void loadState(ByteReader &r);
 
   private:
     /** Directed link leaving @p node towards @p dir (0=E 1=W 2=N 3=S). */

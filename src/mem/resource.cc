@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
 #include "obs/trace_sink.hh"
-#include "sample/checkpoint.hh"
 #include "sample/warm.hh"
 
 namespace cnsim
@@ -71,7 +71,7 @@ Resource::reset()
 }
 
 void
-Resource::saveState(sample::Writer &w) const
+Resource::saveState(ByteWriter &w) const
 {
     w.u32(static_cast<std::uint32_t>(free_at.size()));
     for (Tick t : free_at)
@@ -79,12 +79,12 @@ Resource::saveState(sample::Writer &w) const
 }
 
 void
-Resource::loadState(sample::Reader &r)
+Resource::loadState(ByteReader &r)
 {
     std::uint32_t n = r.u32();
-    cnsim_assert(n == free_at.size(),
-                 "checkpoint has %u ports for resource '%s' with %zu", n,
-                 _name.c_str(), free_at.size());
+    if (n != free_at.size())
+        r.fail("resource '%s' with %u ports does not fit this run's %zu",
+               _name.c_str(), n, free_at.size());
     for (Tick &t : free_at)
         t = r.tick();
 }

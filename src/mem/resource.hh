@@ -33,11 +33,8 @@ namespace obs
 class TraceSink;
 } // namespace obs
 
-namespace sample
-{
-class Writer;
-class Reader;
-} // namespace sample
+class ByteReader;
+class ByteWriter;
 
 /** A contended hardware structure with one or more identical ports. */
 class Resource
@@ -76,10 +73,10 @@ class Resource
     [[nodiscard]] const std::string &name() const { return _name; }
 
     /** Serialize port occupancy (free_at) into a checkpoint. */
-    void saveState(sample::Writer &w) const;
+    void saveState(ByteWriter &w) const;
 
     /** Restore port occupancy from a checkpoint. */
-    void loadState(sample::Reader &r);
+    void loadState(ByteReader &r);
 
   private:
     std::string _name;

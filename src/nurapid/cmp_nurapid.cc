@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstdarg>
 
+#include "common/bytes.hh"
 #include "common/flat_map.hh"
 #include "common/logging.hh"
 #include "obs/trace_sink.hh"
-#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -1057,7 +1057,7 @@ CmpNurapid::resetStats()
 }
 
 void
-CmpNurapid::saveState(sample::Writer &w) const
+CmpNurapid::saveState(ByteWriter &w) const
 {
     for (const auto &t : tags)
         t->saveState(w);
@@ -1074,7 +1074,7 @@ CmpNurapid::saveState(sample::Writer &w) const
 }
 
 void
-CmpNurapid::loadState(sample::Reader &r)
+CmpNurapid::loadState(ByteReader &r)
 {
     for (auto &t : tags)
         t->loadState(r);

@@ -154,8 +154,8 @@ class CmpNurapid : public L2Org
     [[nodiscard]] std::uint64_t iscJoins() const { return n_isc_joins.value(); }
     [[nodiscard]] std::uint64_t busRepls() const { return n_bus_repl.value(); }
 
-    void saveState(sample::Writer &w) const override;
-    void loadState(sample::Reader &r) override;
+    void saveState(ByteWriter &w) const override;
+    void loadState(ByteReader &r) override;
 
     std::uint64_t validBlockCount() const override
     {

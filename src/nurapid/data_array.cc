@@ -1,7 +1,7 @@
 #include "nurapid/data_array.hh"
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
-#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -137,7 +137,7 @@ NuDataArray::flushAll()
 }
 
 void
-NuDataArray::saveState(sample::Writer &w) const
+NuDataArray::saveState(ByteWriter &w) const
 {
     w.u32(static_cast<std::uint32_t>(numDGroups()));
     w.u32(frames_per);
@@ -156,14 +156,14 @@ NuDataArray::saveState(sample::Writer &w) const
 }
 
 void
-NuDataArray::loadState(sample::Reader &r)
+NuDataArray::loadState(ByteReader &r)
 {
     std::uint32_t dgs = r.u32();
     std::uint32_t fp = r.u32();
-    cnsim_assert(dgs == static_cast<std::uint32_t>(numDGroups()) &&
-                     fp == frames_per,
-                 "checkpoint data-array geometry %ux%u mismatches %dx%u",
-                 dgs, fp, numDGroups(), frames_per);
+    if (dgs != static_cast<std::uint32_t>(numDGroups()) || fp != frames_per)
+        r.fail("NuRAPID data array of %u d-groups x %u frames does not "
+               "fit this run's %d x %u",
+               dgs, fp, numDGroups(), frames_per);
     for (int g = 0; g < numDGroups(); ++g) {
         unsigned n_invalid = 0;
         for (Frame &f : frames[g]) {

@@ -108,11 +108,11 @@ class NuDataArray
 
     /** Serialize frames and free lists (order matters: allocate() pops
      * from the back, so the free-list sequence is architectural). */
-    void saveState(sample::Writer &w) const;
+    void saveState(ByteWriter &w) const;
 
     /** Restore frames and free lists written by saveState, rejecting
      * any free list that disagrees with the frames. */
-    void loadState(sample::Reader &r);
+    void loadState(ByteReader &r);
 
   private:
     /** Valid frames per block address, counted from scratch. */

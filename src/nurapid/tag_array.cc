@@ -1,7 +1,7 @@
 #include "nurapid/tag_array.hh"
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
-#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -101,7 +101,7 @@ NuTagArray::flushAll()
 }
 
 void
-NuTagArray::saveState(sample::Writer &w) const
+NuTagArray::saveState(ByteWriter &w) const
 {
     w.u32(_num_sets);
     w.u32(_assoc);
@@ -118,13 +118,14 @@ NuTagArray::saveState(sample::Writer &w) const
 }
 
 void
-NuTagArray::loadState(sample::Reader &r)
+NuTagArray::loadState(ByteReader &r)
 {
     std::uint32_t sets = r.u32();
     std::uint32_t ways = r.u32();
-    cnsim_assert(sets == _num_sets && ways == _assoc,
-                 "checkpoint tag-array geometry %ux%u mismatches %ux%u",
-                 sets, ways, _num_sets, _assoc);
+    if (sets != _num_sets || ways != _assoc)
+        r.fail("NuRAPID tag array of %u sets x %u ways does not fit this "
+               "run's %u x %u",
+               sets, ways, _num_sets, _assoc);
     lru_clock = r.u64();
     for (TagEntry &e : entries) {
         e.addr = r.u64();

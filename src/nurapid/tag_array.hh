@@ -31,11 +31,8 @@
 namespace cnsim
 {
 
-namespace sample
-{
-class Writer;
-class Reader;
-} // namespace sample
+class ByteReader;
+class ByteWriter;
 
 /** Forward pointer: which frame of which d-group holds the data. */
 struct FwdPtr
@@ -128,10 +125,10 @@ class NuTagArray
     void flushAll();
 
     /** Serialize every entry and the LRU clock into a checkpoint. */
-    void saveState(sample::Writer &w) const;
+    void saveState(ByteWriter &w) const;
 
     /** Restore entries written by saveState (geometry must match). */
-    void loadState(sample::Reader &r);
+    void loadState(ByteReader &r);
 
   private:
     CoreId _core;

@@ -272,6 +272,8 @@ class BinlogWriter
     /**
      * Publish the partial block, stop the writer thread, drain the
      * ring, write the trailer, and release the path. Idempotent.
+     * fatal() when any write or the close failed, so a run whose log
+     * did not reach the disk cannot exit 0.
      */
     void finish();
 
@@ -285,6 +287,9 @@ class BinlogWriter
     void put(std::uint16_t msg, const TraceEvent &ev);
     void publish();
     void writerMain();
+    /** fwrite @p n bytes, keeping the errno of the first failure;
+     *  @return the bytes written. */
+    std::size_t write(const void *p, std::size_t n);
 
     const std::string out_path;
     std::FILE *file
@@ -310,6 +315,10 @@ class BinlogWriter
         CNSIM_SYNC_NOTE("producer thread only; bytes pushed") = 0;
     std::uint64_t n_written
         CNSIM_SYNC_NOTE("writer thread; producer reads after join()") = 0;
+    /** errno of the first failed write or close; 0 while all succeed. */
+    int write_errno
+        CNSIM_SYNC_NOTE("producer before the writer starts and after "
+                        "join(), writer thread in between") = 0;
     alignas(64) unsigned char block[block_bytes]
         CNSIM_SYNC_NOTE("producer thread only");
 };

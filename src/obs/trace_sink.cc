@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <map>
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
 #include "obs/auditor.hh"
 #include "obs/binlog.hh"
@@ -76,80 +77,75 @@ writeChromeJson(const std::string &path,
                 const std::vector<std::string> &components,
                 std::uint64_t dropped)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        fatal("cannot open trace output '%s'", path.c_str());
-    std::fputs("{\"traceEvents\":[\n", f);
+    std::string json = "{\"traceEvents\":[\n";
     bool first = true;
     auto sep = [&]() {
         if (!first)
-            std::fputs(",\n", f);
+            json += ",\n";
         first = false;
     };
     for (std::size_t i = 0; i < components.size(); ++i) {
         sep();
-        std::fprintf(f,
-                     "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-                     "\"tid\":%zu,\"args\":{\"name\":\"%s\"}}",
-                     i, components[i].c_str());
+        json += strfmt("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
+                       "\"tid\":%zu,\"args\":{\"name\":\"%s\"}}",
+                       i, components[i].c_str());
     }
     for (const TraceEvent &ev : events) {
         sep();
         std::string name = eventName(ev);
         int tid = ev.component >= 0 ? ev.component : 0;
         if (ev.dur > 0) {
-            std::fprintf(f,
-                         "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\","
-                         "\"ts\":%" PRIu64 ",\"dur\":%" PRIu64 ",\"pid\":0,"
-                         "\"tid\":%d",
-                         name.c_str(), toString(ev.kind),
-                         static_cast<std::uint64_t>(ev.tick), ev.dur, tid);
+            json += strfmt("{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\","
+                           "\"ts\":%" PRIu64 ",\"dur\":%" PRIu64 ",\"pid\":0,"
+                           "\"tid\":%d",
+                           name.c_str(), toString(ev.kind),
+                           static_cast<std::uint64_t>(ev.tick), ev.dur, tid);
         } else {
-            std::fprintf(f,
-                         "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\","
-                         "\"s\":\"t\",\"ts\":%" PRIu64 ",\"pid\":0,"
-                         "\"tid\":%d",
-                         name.c_str(), toString(ev.kind),
-                         static_cast<std::uint64_t>(ev.tick), tid);
+            json += strfmt("{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\","
+                           "\"s\":\"t\",\"ts\":%" PRIu64 ",\"pid\":0,"
+                           "\"tid\":%d",
+                           name.c_str(), toString(ev.kind),
+                           static_cast<std::uint64_t>(ev.tick), tid);
         }
-        std::fprintf(f, ",\"args\":{\"core\":%d", ev.core);
+        json += strfmt(",\"args\":{\"core\":%d", ev.core);
         if (ev.addr)
-            std::fprintf(f, ",\"addr\":\"0x%" PRIx64 "\"",
-                         static_cast<std::uint64_t>(ev.addr));
+            json += strfmt(",\"addr\":\"0x%" PRIx64 "\"",
+                           static_cast<std::uint64_t>(ev.addr));
         switch (ev.kind) {
           case EventKind::Transition:
-            std::fprintf(f, ",\"cause\":\"%s\"",
-                         toString(static_cast<TransCause>(ev.c)));
+            json += strfmt(",\"cause\":\"%s\"",
+                           toString(static_cast<TransCause>(ev.c)));
             if (ev.arg & trans_flag_busy)
-                std::fputs(",\"busy\":1", f);
+                json += ",\"busy\":1";
             if (ev.arg & trans_flag_broadcast)
-                std::fputs(",\"broadcast\":1", f);
+                json += ",\"broadcast\":1";
             break;
           case EventKind::DGroup:
-            std::fprintf(f, ",\"dgroup\":%" PRIu64 ",\"closest\":%d",
-                         ev.arg, ev.b ? 1 : 0);
+            json += strfmt(",\"dgroup\":%" PRIu64 ",\"closest\":%d",
+                           ev.arg, ev.b ? 1 : 0);
             break;
           case EventKind::Resource:
-            std::fprintf(f, ",\"waitTicks\":%" PRIu64, ev.arg);
+            json += strfmt(",\"waitTicks\":%" PRIu64, ev.arg);
             break;
           case EventKind::L1BackInval:
-            std::fprintf(f, ",\"l1Blocks\":%" PRIu64, ev.arg);
+            json += strfmt(",\"l1Blocks\":%" PRIu64, ev.arg);
             break;
           case EventKind::Directory:
-            std::fprintf(f, ",\"sharers\":\"0x%" PRIx64 "\",\"owner\":%d",
-                         ev.arg, static_cast<int>(ev.a) - 1);
+            json += strfmt(",\"sharers\":\"0x%" PRIx64 "\",\"owner\":%d",
+                           ev.arg, static_cast<int>(ev.a) - 1);
             break;
           case EventKind::BusTx:
           case EventKind::CoreStall:
             // No extra args beyond the common core/addr fields.
             break;
         }
-        std::fputs("}}", f);
+        json += "}}";
     }
-    std::fprintf(f,
-                 "\n],\"metadata\":{\"droppedEvents\":%" PRIu64 "}}\n",
-                 dropped);
-    std::fclose(f);
+    json += strfmt("\n],\"metadata\":{\"droppedEvents\":%" PRIu64 "}}\n",
+                   dropped);
+    if (FileStatus st = writeFile(path, json); !st.ok())
+        fatal("cannot write trace output '%s': %s", path.c_str(),
+              st.error.c_str());
 }
 
 std::string

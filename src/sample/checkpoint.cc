@@ -1,8 +1,8 @@
 #include "sample/checkpoint.hh"
 
-#include <cstdio>
 #include <cstring>
 
+#include "common/bytes.hh"
 #include "common/fnv.hh"
 #include "common/logging.hh"
 
@@ -17,104 +17,24 @@ namespace
 
 constexpr char magic[8] = {'C', 'N', 'C', 'K', 'P', 'T', '0', '1'};
 
-} // namespace
+/** The trailing FNV-1a word. */
+constexpr std::size_t checksum_bytes = sizeof(std::uint64_t);
 
-void
-Writer::f64(double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-}
-
-void
-Writer::str(const std::string &s)
-{
-    u32(static_cast<std::uint32_t>(s.size()));
-    raw(s.data(), s.size());
-}
-
-void
-Writer::raw(const void *p, std::size_t n)
-{
-    out.append(static_cast<const char *>(p), n);
-}
-
-Reader::Reader(const void *data, std::size_t size, std::string w)
-    : cur(static_cast<const std::uint8_t *>(data)),
-      end(cur + size), what(std::move(w))
-{
-}
-
-void
-Reader::raw(void *p, std::size_t n)
-{
-    if (remaining() < n)
-        fatal("truncated CNCKPT01 checkpoint '%s': need %zu bytes, "
-              "%zu remain",
-              what.c_str(), n, remaining());
-    std::memcpy(p, cur, n);
-    cur += n;
-}
-
-std::uint8_t
-Reader::u8()
-{
-    std::uint8_t v;
-    raw(&v, sizeof(v));
-    return v;
-}
-
-std::uint32_t
-Reader::u32()
-{
-    std::uint32_t v;
-    raw(&v, sizeof(v));
-    return v;
-}
-
+/** The checksum stored at the end of @p bytes, which must hold one. */
 std::uint64_t
-Reader::u64()
+storedChecksum(const std::string &bytes)
 {
-    std::uint64_t v;
-    raw(&v, sizeof(v));
-    return v;
+    return ByteReader(bytes.data() + bytes.size() - checksum_bytes,
+                      checksum_bytes, "CNCKPT01 checksum")
+        .u64();
 }
 
-double
-Reader::f64()
-{
-    std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
-std::string
-Reader::str()
-{
-    std::uint32_t n = u32();
-    if (remaining() < n)
-        fatal("truncated CNCKPT01 checkpoint '%s': string of %u bytes "
-              "overruns the payload",
-              what.c_str(), n);
-    std::string s(reinterpret_cast<const char *>(cur), n);
-    cur += n;
-    return s;
-}
-
-void
-Reader::expectExhausted() const
-{
-    if (remaining() != 0)
-        fatal("corrupt CNCKPT01 checkpoint '%s': %zu trailing bytes",
-              what.c_str(), remaining());
-}
+} // namespace
 
 std::string
 Checkpoint::serialize() const
 {
-    Writer w;
+    ByteWriter w;
     w.raw(magic, sizeof(magic));
     w.u32(version);
     w.u32(num_cores);
@@ -142,27 +62,22 @@ Checkpoint::serialize() const
     }
     w.u64(arch.size());
     w.raw(arch.data(), arch.size());
-    std::string out = w.take();
-    std::uint64_t sum = fnv1a(out.data(), out.size());
-    out.append(reinterpret_cast<const char *>(&sum), sizeof(sum));
-    return out;
+    w.u64(fnv1a(w.bytes().data(), w.bytes().size()));
+    return w.take();
 }
 
 bool
 Checkpoint::checksumOk(const std::string &bytes)
 {
-    if (bytes.size() < sizeof(magic) + sizeof(std::uint64_t) + 4)
+    if (bytes.size() < sizeof(magic) + checksum_bytes + 4)
         return false;
     if (std::memcmp(bytes.data(), magic, sizeof(magic)) != 0)
         return false;
-    std::size_t payload = bytes.size() - sizeof(std::uint64_t);
-    std::uint64_t stored;
-    std::memcpy(&stored, bytes.data() + payload, sizeof(stored));
-    if (fnv1a(bytes.data(), payload) != stored)
+    if (fnv1a(bytes.data(), bytes.size() - checksum_bytes) !=
+        storedChecksum(bytes))
         return false;
-    std::uint32_t version;
-    std::memcpy(&version, bytes.data() + sizeof(magic), sizeof(version));
-    return version == current_version;
+    return ByteReader(bytes.data() + sizeof(magic), 4, "CNCKPT01 version")
+               .u32() == current_version;
 }
 
 Checkpoint
@@ -171,12 +86,11 @@ Checkpoint::deserialize(const std::string &bytes, const std::string &what)
     if (bytes.size() < sizeof(magic) ||
         std::memcmp(bytes.data(), magic, sizeof(magic)) != 0)
         fatal("'%s' is not a CNCKPT01 checkpoint", what.c_str());
-    if (bytes.size() < sizeof(magic) + sizeof(std::uint64_t))
+    if (bytes.size() < sizeof(magic) + checksum_bytes)
         fatal("truncated CNCKPT01 checkpoint '%s': no checksum",
               what.c_str());
-    std::size_t payload = bytes.size() - sizeof(std::uint64_t);
-    std::uint64_t stored;
-    std::memcpy(&stored, bytes.data() + payload, sizeof(stored));
+    std::size_t payload = bytes.size() - checksum_bytes;
+    std::uint64_t stored = storedChecksum(bytes);
     std::uint64_t computed = fnv1a(bytes.data(), payload);
     if (stored != computed)
         fatal("CNCKPT01 checksum mismatch in '%s': file is truncated or "
@@ -184,7 +98,8 @@ Checkpoint::deserialize(const std::string &bytes, const std::string &what)
               what.c_str(), static_cast<unsigned long long>(stored),
               static_cast<unsigned long long>(computed));
 
-    Reader r(bytes.data() + sizeof(magic), payload - sizeof(magic), what);
+    ByteReader r(bytes.data() + sizeof(magic), payload - sizeof(magic),
+                 "CNCKPT01 checkpoint '" + what + "'");
     Checkpoint ck;
     ck.version = r.u32();
     if (ck.version != current_version)
@@ -232,27 +147,18 @@ Checkpoint::deserialize(const std::string &bytes, const std::string &what)
 void
 Checkpoint::saveFile(const std::string &path) const
 {
-    std::string bytes = serialize();
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        fatal("cannot open checkpoint '%s' for writing", path.c_str());
-    std::size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f);
-    if (n != bytes.size() || std::fclose(f) != 0)
-        fatal("short write saving checkpoint '%s'", path.c_str());
+    if (FileStatus s = writeFile(path, serialize()); !s.ok())
+        fatal("cannot save checkpoint '%s': %s", path.c_str(),
+              s.error.c_str());
 }
 
 Checkpoint
 Checkpoint::loadFile(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        fatal("cannot open checkpoint '%s'", path.c_str());
     std::string bytes;
-    char buf[65536];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.append(buf, n);
-    std::fclose(f);
+    if (FileStatus s = readFile(path, bytes); !s.ok())
+        fatal("cannot open checkpoint '%s': %s", path.c_str(),
+              s.error.c_str());
     return deserialize(bytes, path);
 }
 

@@ -7,7 +7,7 @@
  * pending step event per core, the event-queue clock, and an opaque
  * architectural payload (cache arrays, LRU state, d-group layouts,
  * coherence directories, resource occupancies) written by the System
- * through the same Writer.
+ * through the same ByteWriter (common/bytes.hh).
  *
  * The format follows the CNTRF001 trace-file discipline: a fixed magic,
  * an explicit version, little-endian fixed-width fields, full bounds
@@ -46,60 +46,6 @@ namespace cnsim
 
 namespace sample
 {
-
-/** Little-endian appender used for both the outer format and the
- * architectural payload; components serialize through this so the
- * byte layout has exactly one implementation. */
-class Writer
-{
-  public:
-    void u8(std::uint8_t v) { out.push_back(static_cast<char>(v)); }
-    void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
-    void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
-    void tick(Tick v) { u64(v); }
-    void f64(double v);
-    void str(const std::string &s);
-    void raw(const void *p, std::size_t n);
-
-    [[nodiscard]] const std::string &bytes() const { return out; }
-    [[nodiscard]] std::string take() { return std::move(out); }
-
-  private:
-    std::string out;
-};
-
-/**
- * Bounds-checked reader over a checkpoint byte range. Every overrun is
- * reported as a fatal truncation naming @p what, so a clipped file
- * dies with a clear message instead of decoding garbage.
- */
-class Reader
-{
-  public:
-    Reader(const void *data, std::size_t size, std::string what);
-
-    [[nodiscard]] std::uint8_t u8();
-    [[nodiscard]] std::uint32_t u32();
-    [[nodiscard]] std::uint64_t u64();
-    [[nodiscard]] Tick tick() { return u64(); }
-    [[nodiscard]] double f64();
-    [[nodiscard]] std::string str();
-    void raw(void *p, std::size_t n);
-
-    /** Bytes not yet consumed. */
-    [[nodiscard]] std::size_t remaining() const
-    {
-        return static_cast<std::size_t>(end - cur);
-    }
-
-    /** Fatal unless the payload was consumed exactly. */
-    void expectExhausted() const;
-
-  private:
-    const std::uint8_t *cur;
-    const std::uint8_t *end;
-    std::string what;
-};
 
 /** Saved position of one core: retirement counters, the single pending
  * step event, and the replay-stream cursor (consumed-record count). */

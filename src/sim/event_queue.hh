@@ -39,33 +39,6 @@
 namespace cnsim
 {
 
-/**
- * Opt-out wrapper for event callables that exceed the EventQueue's
- * inline storage budget: scheduling a BoxedEvent explicitly accepts
- * one heap allocation for that event. Construct via CNSIM_EVENT_BOXED.
- */
-template <typename Fn>
-struct BoxedEvent
-{
-    Fn fn;
-
-    void
-    operator()(Tick t)
-    {
-        fn(t);
-    }
-};
-
-template <typename T>
-struct IsBoxedEvent : std::false_type
-{
-};
-
-template <typename Fn>
-struct IsBoxedEvent<BoxedEvent<Fn>> : std::true_type
-{
-};
-
 template <typename T>
 struct IsStdFunction : std::false_type
 {
@@ -75,21 +48,6 @@ template <typename Sig>
 struct IsStdFunction<std::function<Sig>> : std::true_type
 {
 };
-
-template <typename F>
-BoxedEvent<std::decay_t<F>>
-makeBoxedEvent(F &&f)
-{
-    return BoxedEvent<std::decay_t<F>>{std::forward<F>(f)};
-}
-
-/**
- * Wrap an oversized event callable for scheduling. The wrapper is the
- * visible, grep-able marker that this call site deliberately pays a
- * per-event heap allocation; everything else must fit the inline
- * budget, which EventQueue::schedule() enforces at compile time.
- */
-#define CNSIM_EVENT_BOXED(...) ::cnsim::makeBoxedEvent(__VA_ARGS__)
 
 /** A global, deterministic discrete-event queue. */
 class EventQueue
@@ -105,8 +63,8 @@ class EventQueue
      * Schedule callable @p f to run at tick @p when.
      * Events at equal ticks run in scheduling order (FIFO), which keeps
      * runs deterministic regardless of queue internals. The callable is
-     * stored inline in the event record when it fits (typical lambda
-     * captures do); larger callables fall back to a heap box.
+     * stored inline in the event record; one larger than the inline
+     * budget does not compile.
      *
      * @return the event's sequence number, which defines its FIFO rank
      * among same-tick events (checkpoints persist it so a restored
@@ -229,20 +187,6 @@ class EventQueue
         std::launder(reinterpret_cast<Fn *>(e->storage))->~Fn();
     }
 
-    template <typename Fn>
-    static void
-    invokeBoxed(Event *e, Tick t)
-    {
-        (**std::launder(reinterpret_cast<Fn **>(e->storage)))(t);
-    }
-
-    template <typename Fn>
-    static void
-    destroyBoxed(Event *e)
-    {
-        delete *std::launder(reinterpret_cast<Fn **>(e->storage));
-    }
-
     template <typename F>
     static void
     emplaceCallable(Event *e, F &&f)
@@ -255,27 +199,16 @@ class EventQueue
                       "type-erases the callable and may allocate per "
                       "event; schedule the lambda itself so it lands in "
                       "the event's inline storage");
-        if constexpr (IsBoxedEvent<Fn>::value) {
-            // Explicitly opted into a per-event heap allocation.
-            ::new (static_cast<void *>(e->storage))
-                Fn *(new Fn(std::forward<F>(f)));
-            e->invoke = &invokeBoxed<Fn>;
-            e->destroy = &destroyBoxed<Fn>;
-        } else {
-            static_assert(sizeof(Fn) <= inline_bytes &&
-                              alignof(Fn) <= alignof(std::max_align_t),
-                          "event callable exceeds the EventQueue inline "
-                          "budget; shrink the capture (capture pointers, "
-                          "not copies) or wrap the callable in "
-                          "CNSIM_EVENT_BOXED(...) to accept one heap "
-                          "allocation per scheduled event");
-            ::new (static_cast<void *>(e->storage))
-                Fn(std::forward<F>(f));
-            e->invoke = &invokeInline<Fn>;
-            e->destroy = std::is_trivially_destructible_v<Fn>
-                             ? nullptr
-                             : &destroyInline<Fn>;
-        }
+        static_assert(sizeof(Fn) <= inline_bytes &&
+                          alignof(Fn) <= alignof(std::max_align_t),
+                      "event callable exceeds the EventQueue inline "
+                      "budget; shrink the capture: capture pointers or "
+                      "references, not copies of large objects");
+        ::new (static_cast<void *>(e->storage)) Fn(std::forward<F>(f));
+        e->invoke = &invokeInline<Fn>;
+        e->destroy = std::is_trivially_destructible_v<Fn>
+                         ? nullptr
+                         : &destroyInline<Fn>;
     }
 
     /** Heap order for the far-future overflow: min (when, seq) on top. */

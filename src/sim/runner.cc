@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "cactilite/cactilite.hh"
+#include "common/bytes.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "core/core.hh"
@@ -269,7 +270,7 @@ makeCheckpoint(const System &system, const EventQueue &eq,
         ck.cores.push_back(cs);
     }
     system.checkpointMeta(ck.meta);
-    sample::Writer w;
+    ByteWriter w;
     system.saveState(w);
     ck.arch = w.take();
     return ck;
@@ -377,8 +378,8 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
                   });
         for (std::size_t i : order)
             cores[i]->resume(eq, resume_ck->cores[i].step_when);
-        sample::Reader rd(resume_ck->arch.data(), resume_ck->arch.size(),
-                          resume_what);
+        ByteReader rd(resume_ck->arch.data(), resume_ck->arch.size(),
+                      "CNCKPT01 checkpoint '" + resume_what + "'");
         system.loadState(rd);
         rd.expectExhausted();
     } else if (sampled) {

@@ -290,7 +290,7 @@ System::finishObs(Tick now)
 }
 
 void
-System::saveState(sample::Writer &w) const
+System::saveState(ByteWriter &w) const
 {
     mem->saveState(w);
     icn->saveState(w);
@@ -302,7 +302,7 @@ System::saveState(sample::Writer &w) const
 }
 
 void
-System::loadState(sample::Reader &r)
+System::loadState(ByteReader &r)
 {
     mem->loadState(r);
     icn->loadState(r);

@@ -128,11 +128,11 @@ class System
      * and every L1 -- into a checkpoint payload, in a fixed order the
      * matching loadState() replays.
      */
-    void saveState(sample::Writer &w) const;
+    void saveState(ByteWriter &w) const;
 
     /** Restore state written by saveState on an identically-configured
      *  system. */
-    void loadState(sample::Reader &r);
+    void loadState(ByteReader &r);
 
     /** Append inspector-facing occupancy facts to @p meta. */
     void checkpointMeta(

@@ -1,7 +1,6 @@
 #include "trace/replay.hh"
 
-#include <cstring>
-
+#include "common/bytes.hh"
 #include "common/fnv.hh"
 #include "common/logging.hh"
 #include "trace/trace_file.hh"
@@ -20,62 +19,6 @@ namespace
  */
 constexpr std::size_t max_chunks = 8192;
 
-inline std::uint64_t
-zigzag(std::uint64_t prev, std::uint64_t now)
-{
-    std::int64_t d = static_cast<std::int64_t>(now - prev);
-    return (static_cast<std::uint64_t>(d) << 1) ^
-           static_cast<std::uint64_t>(d >> 63);
-}
-
-inline std::uint64_t
-unzigzag(std::uint64_t z)
-{
-    return (z >> 1) ^ (~(z & 1) + 1);
-}
-
-inline void
-putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(v));
-}
-
-/** Hot-path decode: the buffer is trusted (validated or generated). */
-inline std::uint64_t
-getVarint(const std::uint8_t *&p)
-{
-    std::uint8_t b = *p++;
-    std::uint64_t v = b & 0x7f;
-    unsigned shift = 7;
-    while (b & 0x80) {
-        b = *p++;
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        shift += 7;
-    }
-    return v;
-}
-
-/** Validating decode for untrusted bytes. */
-inline bool
-getVarintChecked(const std::uint8_t *&p, const std::uint8_t *end,
-                 std::uint64_t &v)
-{
-    v = 0;
-    unsigned shift = 0;
-    while (p != end && shift < 70) {
-        std::uint8_t b = *p++;
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            return true;
-        shift += 7;
-    }
-    return false;
-}
-
 inline std::uint32_t
 opCode(MemOp op)
 {
@@ -91,38 +34,14 @@ inline void
 encodeRecord(std::vector<std::uint8_t> &out, Addr &prev_iaddr,
              Addr &prev_addr, const TraceRecord &rec)
 {
-    putVarint(out, (static_cast<std::uint64_t>(rec.gap) << 2) |
-                       opCode(rec.op));
-    putVarint(out, zigzag(prev_iaddr, rec.iaddr));
-    putVarint(out, zigzag(prev_addr, rec.addr));
+    unsigned char buf[3 * max_varint_bytes];
+    unsigned char *p = putVarint(
+        buf, (static_cast<std::uint64_t>(rec.gap) << 2) | opCode(rec.op));
+    p = putVarint(p, zigzag(rec.iaddr - prev_iaddr));
+    p = putVarint(p, zigzag(rec.addr - prev_addr));
+    out.insert(out.end(), buf, p);
     prev_iaddr = rec.iaddr;
     prev_addr = rec.addr;
-}
-
-void
-appendBytes(std::string &out, const void *p, std::size_t n)
-{
-    out.append(static_cast<const char *>(p), n);
-}
-
-void
-appendU32(std::string &out, std::uint32_t v)
-{
-    appendBytes(out, &v, sizeof(v));
-}
-
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    appendBytes(out, &v, sizeof(v));
-}
-
-void
-appendF64(std::string &out, double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    appendU64(out, bits);
 }
 
 /**
@@ -133,36 +52,36 @@ appendF64(std::string &out, double v)
 std::string
 serializeParams(const SynthWorkloadParams &params)
 {
-    std::string s;
-    appendU64(s, params.seed);
-    appendU32(s, params.shared_regions ? 1 : 0);
-    appendU32(s, static_cast<std::uint32_t>(params.threads.size()));
+    ByteWriter w;
+    w.u64(params.seed);
+    w.u32(params.shared_regions ? 1 : 0);
+    w.u32(static_cast<std::uint32_t>(params.threads.size()));
     for (const SynthThreadParams &t : params.threads) {
-        appendF64(s, t.mean_gap);
-        appendF64(s, t.frac_ros);
-        appendF64(s, t.frac_rws);
-        appendU32(s, t.private_blocks);
-        appendF64(s, t.private_theta);
-        appendF64(s, t.private_hot_frac);
-        appendU32(s, t.private_hot_blocks);
-        appendU32(s, t.ros_blocks);
-        appendF64(s, t.ros_follow);
-        appendF64(s, t.ros_reuse.p0);
-        appendF64(s, t.ros_reuse.p1);
-        appendF64(s, t.ros_reuse.p2_5);
-        appendF64(s, t.ros_reuse.p_more);
-        appendU32(s, t.rws_blocks);
-        appendF64(s, t.rws_write_frac);
-        appendF64(s, t.rws_migratory);
-        appendU32(s, t.code_blocks);
-        appendF64(s, t.code_theta);
-        appendF64(s, t.code_hot_frac);
-        appendU32(s, t.code_hot_blocks);
-        appendF64(s, t.store_frac);
-        appendF64(s, t.frac_stream);
-        appendU32(s, t.stream_blocks);
+        w.f64(t.mean_gap);
+        w.f64(t.frac_ros);
+        w.f64(t.frac_rws);
+        w.u32(t.private_blocks);
+        w.f64(t.private_theta);
+        w.f64(t.private_hot_frac);
+        w.u32(t.private_hot_blocks);
+        w.u32(t.ros_blocks);
+        w.f64(t.ros_follow);
+        w.f64(t.ros_reuse.p0);
+        w.f64(t.ros_reuse.p1);
+        w.f64(t.ros_reuse.p2_5);
+        w.f64(t.ros_reuse.p_more);
+        w.u32(t.rws_blocks);
+        w.f64(t.rws_write_frac);
+        w.f64(t.rws_migratory);
+        w.u32(t.code_blocks);
+        w.f64(t.code_theta);
+        w.f64(t.code_hot_frac);
+        w.u32(t.code_hot_blocks);
+        w.f64(t.store_frac);
+        w.f64(t.frac_stream);
+        w.u32(t.stream_blocks);
     }
-    return s;
+    return w.take();
 }
 
 } // namespace
@@ -173,9 +92,8 @@ PackedStreamReader::next(TraceRecord &out)
     if (cur == end || bad)
         return false;
     std::uint64_t go = 0, di = 0, da = 0;
-    if (!getVarintChecked(cur, end, go) ||
-        !getVarintChecked(cur, end, di) ||
-        !getVarintChecked(cur, end, da) || (go & 3) == 3 ||
+    if (getVarint(cur, end, go) || getVarint(cur, end, di) ||
+        getVarint(cur, end, da) || (go & 3) == 3 ||
         (go >> 2) > 0xffffffffULL) {
         bad = true;
         return false;

@@ -48,9 +48,10 @@
  *   varint(gap * 4 + op)                  op: 0 load, 1 store, 2 ifetch
  *   varint(zigzag(iaddr - prev_iaddr))
  *   varint(zigzag(addr - prev_addr))
- * where varint is the usual 7-bits-per-byte little-endian continuation
- * code and prev_* start at 0 per core stream. Decoding is strictly
- * sequential, which is exactly how cores consume traces.
+ * where varint is the LEB128 code of common/bytes.hh (7 bits per byte,
+ * at most 10 bytes, nothing past bit 63) and prev_* start at 0 per core
+ * stream. Decoding is strictly sequential, which is exactly how cores
+ * consume traces.
  *
  * Thread-safety: a RecordedTrace generates lazily in fixed-size chunks
  * under a mutex, publishing each completed chunk with a release store;
@@ -77,9 +78,10 @@ namespace cnsim
 {
 
 /**
- * Bounds-checked sequential decoder over one packed core stream; the
- * validating counterpart of ReplaySource's trusting hot-path decoder.
- * Used when ingesting untrusted CNTRF001 payloads and by cntrace.
+ * Bounds-checked sequential decoder over one packed core stream, used
+ * when ingesting untrusted CNTRF001 payloads and by cntrace. A varint
+ * that ends early, runs past 10 bytes or overflows 64 bits is
+ * malformed, as is an op code of 3 or a gap past 32 bits.
  */
 class PackedStreamReader
 {

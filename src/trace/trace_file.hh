@@ -51,7 +51,7 @@ void writeTrf(const std::string &path, const PackedTrace &trace);
  * core count, a truncated header, a core with no records, fewer than 3
  * or more than 30 bytes per record, or payload bytes that do not match
  * the header's per-core sizes exactly. Sizes are checked against the
- * file before any allocation. (Record-level validation -- do
+ * file before they size any allocation. (Record-level validation -- do
  * the packed bytes decode to n_records records -- is RecordedTrace's
  * job, since the codec lives there.)
  */

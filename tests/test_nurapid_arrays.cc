@@ -10,10 +10,10 @@
 #include <cstring>
 #include <string>
 
+#include "common/bytes.hh"
 #include "common/rng.hh"
 #include "nurapid/data_array.hh"
 #include "nurapid/tag_array.hh"
-#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -274,7 +274,7 @@ TEST(NuDataArray, HoldingAfterLoadState)
     NuDataArray src(2, 8);
     Rng rng(13);
     churn(src, rng, 30);
-    sample::Writer w;
+    ByteWriter w;
     src.saveState(w);
 
     // The destination's own count, built over different frames, must
@@ -283,7 +283,7 @@ TEST(NuDataArray, HoldingAfterLoadState)
     Rng other(14);
     churn(dst, other, 30);
     expectHoldingMatchesScan(dst);
-    sample::Reader r(w.bytes().data(), w.bytes().size(), "data array");
+    ByteReader r(w.bytes().data(), w.bytes().size(), "data array");
     dst.loadState(r);
     expectHoldingMatchesScan(dst);
     for (int i = 0; i <= n_blocks; ++i)
@@ -334,7 +334,7 @@ struct SavedArray
         NuDataArray d(1, 4);
         d.fill(0, d.allocate(0), 0x100, some_tag);
         d.fill(0, d.allocate(0), 0x200, some_tag);
-        sample::Writer w;
+        ByteWriter w;
         d.saveState(w);
         bytes = w.take();
     }
@@ -356,7 +356,7 @@ struct SavedArray
     load() const
     {
         NuDataArray d(1, 4);
-        sample::Reader r(bytes.data(), bytes.size(), "data array");
+        ByteReader r(bytes.data(), bytes.size(), "data array");
         d.loadState(r);
     }
 };

@@ -9,10 +9,10 @@
 
 #include <string>
 
+#include "common/bytes.hh"
 #include "mem/bus.hh"
 #include "mem/memory.hh"
 #include "nurapid/cmp_nurapid.hh"
-#include "sample/checkpoint.hh"
 
 namespace cnsim
 {
@@ -265,7 +265,7 @@ TEST(NurapidISCDeathTest, BlockCheckCatchesLeakedFrameOfDirtyBlock)
     r.l2.access({0, 0x1000, MemOp::Store}, 0);
     ASSERT_EQ(r.l2.stateOf(0, 0x1000), CohState::Modified);
     r.l2.checkBlockInvariants(0x1000);
-    sample::Writer w;
+    ByteWriter w;
     r.l2.saveState(w);
     std::string blob = w.take();
 
@@ -275,7 +275,7 @@ TEST(NurapidISCDeathTest, BlockCheckCatchesLeakedFrameOfDirtyBlock)
     auto frames_per = static_cast<unsigned>(p.dgroup_capacity / p.block_size);
     unsigned sets =
         frames_per * p.num_dgroups / p.num_cores / p.assoc * p.tag_factor;
-    sample::Reader rd(blob.data(), blob.size(), "nurapid");
+    ByteReader rd(blob.data(), blob.size(), "nurapid");
     NuTagArray tags(0, sets, p.assoc, p.block_size);
     for (int c = 0; c < p.num_cores; ++c)
         tags.loadState(rd);
@@ -287,12 +287,12 @@ TEST(NurapidISCDeathTest, BlockCheckCatchesLeakedFrameOfDirtyBlock)
     DGroupId other = (fwd.dgroup + 1) % p.num_dgroups;
     data.fill(other, data.allocate(other), 0x1000,
               data.at(fwd.dgroup, fwd.frame).rev);
-    sample::Writer leaked;
+    ByteWriter leaked;
     data.saveState(leaked);
     blob.replace(begin, end - begin, leaked.bytes());
 
     Rig restored;
-    sample::Reader rr(blob.data(), blob.size(), "nurapid");
+    ByteReader rr(blob.data(), blob.size(), "nurapid");
     restored.l2.loadState(rr);
     EXPECT_EQ(restored.l2.framesHolding(0x1000), 2);
     EXPECT_DEATH(restored.l2.checkBlockInvariants(0x1000),

@@ -25,13 +25,13 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
 #include "farm/sweep.hh"
 #include "sim/parallel_runner.hh"
@@ -148,10 +148,8 @@ tagPath(const std::string &path, const std::string &tag)
 void
 writeTextFile(const std::string &path, const std::string &text)
 {
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open '%s' for writing", path.c_str());
-    out << text;
+    if (FileStatus s = writeFile(path, text); !s.ok())
+        fatal("cannot write '%s': %s", path.c_str(), s.error.c_str());
 }
 
 std::vector<L2Kind>

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
 #include "mem/packet.hh"
 #include "obs/binlog.hh"
@@ -223,11 +224,8 @@ main(int argc, char **argv)
     if (cmd == "csv") {
         std::string csv = obs::binlogMetricsCsv(data);
         if (argc >= 4) {
-            std::FILE *out = std::fopen(argv[3], "wb");
-            if (!out)
-                fatal("cannot open '%s' for writing", argv[3]);
-            std::fwrite(csv.data(), 1, csv.size(), out);
-            std::fclose(out);
+            if (FileStatus s = writeFile(argv[3], csv); !s.ok())
+                fatal("cannot write '%s': %s", argv[3], s.error.c_str());
             inform("%zu metric columns -> %s", data.metrics.size(),
                    argv[3]);
         } else {
