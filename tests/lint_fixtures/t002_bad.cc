@@ -14,6 +14,17 @@ int orphan() // cnlint-fixture-expect: CNL-T002
     return 2;
 }
 
+namespace sim
+{
+
+// A namespace body is file scope: its functions are candidates too.
+int nestedOrphan() // cnlint-fixture-expect: CNL-T002
+{
+    return 3;
+}
+
+} // namespace sim
+
 int main()
 {
     return helper();

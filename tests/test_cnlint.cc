@@ -249,6 +249,26 @@ TEST(Cnlint, TwoFileIncludeCycleIsReportedInBothFiles)
     EXPECT_TRUE(solo.empty()) << describe(solo);
 }
 
+TEST(Cnlint, DeadInternalFunctionIsNotKeptAliveByAnotherFile)
+{
+    // t002_internal_b.cc uses internal functions of its own named like
+    // t002_internal_a.cc's dead ones. A tree-wide use count would let
+    // a's escape; internal linkage means only a's own uses count.
+    const std::string a = fixturePath("t002_internal_a.cc");
+    cnlint::Linter linter;
+    linter.setDeadSymbols(true);
+    ASSERT_TRUE(linter.addFile(a));
+    ASSERT_TRUE(linter.addFile(fixturePath("t002_internal_b.cc")));
+    linter.run();
+    std::vector<LineRule> actual;
+    for (const auto &f : linter.findings()) {
+        EXPECT_EQ(f.file, a) << f.line << ": " << f.rule;
+        actual.emplace_back(f.line, f.rule);
+    }
+    std::sort(actual.begin(), actual.end());
+    EXPECT_EQ(actual, expectedFindings(a)) << describe(actual);
+}
+
 TEST(Cnlint, FindingsCarryColumnNumbers)
 {
     cnlint::Linter linter;

@@ -68,11 +68,12 @@ fuzzRecord(Rng &rng)
 
 /**
  * Write a one-core CNTRF001 file whose header declares @p n_records
- * records in @p n_bytes bytes, followed by @p payload zero bytes.
+ * records in @p n_bytes bytes, followed by the @p payload bytes.
  */
 std::string
 writeOneCoreTrf(const char *tag, std::uint64_t n_records,
-                std::uint64_t n_bytes, std::size_t payload)
+                std::uint64_t n_bytes,
+                const std::vector<unsigned char> &payload)
 {
     std::string path = tempPath(tag);
     std::vector<unsigned char> bytes = {'C', 'N', 'T', 'R',
@@ -87,7 +88,7 @@ writeOneCoreTrf(const char *tag, std::uint64_t n_records,
     put(0, 8); // seed
     put(n_records, 8);
     put(n_bytes, 8);
-    bytes.resize(bytes.size() + payload, 0);
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
     std::FILE *fp = std::fopen(path.c_str(), "wb");
     EXPECT_NE(fp, nullptr);
     std::fwrite(bytes.data(), 1, bytes.size(), fp);
@@ -249,7 +250,8 @@ TEST(ReplayDeath, ByteCountBeyondFileRejected)
     // A 64-byte file declaring 1e11 records in 1e12 bytes: the byte
     // count is checked against the file before it sizes an allocation.
     std::string path = writeOneCoreTrf("hugepayload", 100'000'000'000ULL,
-                                       1'000'000'000'000ULL, 16);
+                                       1'000'000'000'000ULL,
+                                       std::vector<unsigned char>(16));
     EXPECT_DEATH(readTrf(path), "declares 1000000000000 bytes but only "
                                 "16 remain");
     std::remove(path.c_str());
@@ -260,15 +262,30 @@ TEST(ReplayDeath, RecordCountBeyondBytesRejected)
     // 1e12 records cannot fit in 15 bytes (a record takes at least 3),
     // and replay would otherwise reserve room for all of them.
     std::string path = writeOneCoreTrf("hugecount", 1'000'000'000'000ULL,
-                                       15, 15);
+                                       15, std::vector<unsigned char>(15));
     EXPECT_DEATH(readTrf(path), "1000000000000 records in 15 bytes");
     std::remove(path.c_str());
 }
 
 TEST(ReplayDeath, EmptyCoreRejected)
 {
-    std::string path = writeOneCoreTrf("emptycore", 0, 0, 0);
+    std::string path = writeOneCoreTrf("emptycore", 0, 0, {});
     EXPECT_DEATH(readTrf(path), "core 0 has no records");
+    std::remove(path.c_str());
+}
+
+TEST(ReplayDeath, OverflowingVarintRejected)
+{
+    // One record: a load with gap 0, iaddr delta 0, and an addr delta
+    // whose 10th varint byte is 2. Only bit 63 is left for that byte,
+    // so a decoder that drops the high bits would replay a wrong
+    // address; the strict decoder rejects the file.
+    std::string path = writeOneCoreTrf(
+        "overflow", 1, 12,
+        {0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+         0x02});
+    EXPECT_DEATH(RecordedTrace::fromFile(path),
+                 "corrupt packed stream for core 0 .*0 of 1 records");
     std::remove(path.c_str());
 }
 

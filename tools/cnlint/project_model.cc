@@ -272,10 +272,50 @@ symbolKeywords()
     return kw;
 }
 
+/**
+ * Per token of @p ts: does it sit inside an anonymous namespace? A
+ * namespace-scope function there has internal linkage.
+ */
+std::vector<bool>
+anonymousNamespaceTokens(const Tokens &ts)
+{
+    std::vector<bool> anon(ts.size(), false);
+    std::vector<bool> opens; // per open brace: an anonymous namespace?
+    int depth = 0;
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+        anon[i] = depth > 0;
+        if (isPunct(ts[i], "{")) {
+            bool a = i > 0 && isIdent(ts[i - 1], "namespace");
+            opens.push_back(a);
+            depth += a;
+        } else if (isPunct(ts[i], "}") && !opens.empty()) {
+            depth -= opens.back();
+            opens.pop_back();
+        }
+    }
+    return anon;
+}
+
+/** True when the declaration whose name is token @p i says `static`. */
+bool
+declaredStatic(const Tokens &ts, std::size_t i)
+{
+    while (i > 0) {
+        const Token &t = ts[--i];
+        if (isPunct(t, ";") || isPunct(t, "{") || isPunct(t, "}"))
+            return false;
+        if (isIdent(t, "static"))
+            return true;
+    }
+    return false;
+}
+
 void
 indexSymbols(const SourceFile &f, ProjectModel &pm)
 {
     const Tokens &ts = f.tokens;
+    std::map<std::string, int> &local = pm.file_uses[&f];
+    const std::vector<bool> anon = anonymousNamespaceTokens(ts);
     for (std::size_t i = 0; i < ts.size(); ++i) {
         const Token &t = ts[i];
         if (t.kind != TokKind::Ident)
@@ -286,7 +326,10 @@ indexSymbols(const SourceFile &f, ProjectModel &pm)
             continue; // annotation macro between ')' and '{', not a def
         if (i > 0 && isPunct(ts[i - 1], "~"))
             continue; // destructor
-        auto use = [&]() { ++pm.uses[t.text]; };
+        auto use = [&]() {
+            ++pm.uses[t.text];
+            ++local[t.text];
+        };
         if (i + 1 >= ts.size() || !isPunct(ts[i + 1], "(")) {
             use();
             continue;
@@ -331,8 +374,14 @@ indexSymbols(const SourceFile &f, ProjectModel &pm)
             if (isPunct(ts[k], "("))
                 k = matchForward(ts, k, "(", ")");
         }
-        if (definition && f.sim_scope && t.text != "main")
-            pm.function_defs.push_back({t.text, t.line, t.col, &f});
+        if (definition && f.sim_scope && t.text != "main") {
+            // A header's internal functions serve every includer, so
+            // only a source file's are counted file-locally.
+            bool internal = !f.header && t.scope == ScopeKind::File &&
+                            (anon[i] || declaredStatic(ts, i));
+            pm.function_defs.push_back({t.text, t.line, t.col, &f,
+                                        internal});
+        }
         // Declarations and definitions are not uses.
     }
 
@@ -361,7 +410,9 @@ indexSymbols(const SourceFile &f, ProjectModel &pm)
                             static_cast<unsigned char>(d.text[q])) ||
                         d.text[q] == '_'))
                     ++q;
-                ++pm.uses[d.text.substr(p, q - p)];
+                std::string name = d.text.substr(p, q - p);
+                ++pm.uses[name];
+                ++local[name];
                 p = q;
             } else {
                 ++p;
@@ -406,9 +457,9 @@ universalHeaders()
 {
     // Interface vocabulary: plain-data types every layer trades in.
     static const std::set<std::string> uni = {
-        "cache/coh_state.hh", "mem/packet.hh",      "trace/trace.hh",
-        "obs/event.hh",       "obs/trace_sink.hh",  "obs/metrics.hh",
-        "sample/checkpoint.hh", "sample/warm.hh",
+        "cache/coh_state.hh", "mem/packet.hh",     "trace/trace.hh",
+        "obs/event.hh",       "obs/trace_sink.hh", "obs/metrics.hh",
+        "sample/warm.hh",
     };
     return uni;
 }
@@ -420,6 +471,7 @@ layerExceptions()
     static const std::set<std::pair<std::string, std::string>> ex = {
         {"core", "sim/event_queue.hh"},
         {"core", "sim/system.hh"},
+        {"core", "sample/checkpoint.hh"},
         {"cactilite", "nurapid/pref_table.hh"},
     };
     return ex;
@@ -442,6 +494,7 @@ ProjectModel::build(const std::vector<SourceFile> &files)
     mutex_owning_types.clear();
     function_defs.clear();
     uses.clear();
+    file_uses.clear();
     include_graph.clear();
     file_by_key.clear();
     for (const auto &f : files) {

@@ -10,16 +10,16 @@
  *    declarations (name, type classification, thread-safety
  *    annotations), feeding the CNL-C concurrency rules;
  *  - the symbol index: function definitions, declarations, and use
- *    counts across the tree (including identifiers inside #define
- *    bodies), feeding CNL-T002 dead-symbol detection.
+ *    counts across the tree and per file (including identifiers inside
+ *    #define bodies), feeding CNL-T002 dead-symbol detection.
  *
  * The layer DAG is the committed architecture of src/ (DESIGN.md 3k):
  * each directory may include itself, plus exactly the directories
  * listed here. A small set of interface headers (events, packets,
- * coherence states, checkpoints) is universal -- includable from any
- * layer -- because they define the vocabulary types the layers trade
- * in; and three point exceptions are grandfathered where a concrete
- * type is needed across an otherwise-forbidden edge.
+ * coherence states, the warm-up scope) is universal -- includable from
+ * any layer -- because they define the vocabulary types the layers
+ * trade in; and four point exceptions are grandfathered where a
+ * concrete type is needed across an otherwise-forbidden edge.
  */
 
 #ifndef CNSIM_TOOLS_CNLINT_PROJECT_MODEL_HH
@@ -85,6 +85,10 @@ struct SymbolDef
     int line = 0;
     int col = 0;
     const SourceFile *file = nullptr;
+    /** Internal linkage: a namespace-scope function of a source file,
+     *  in an anonymous namespace or declared static. Only its own
+     *  file can use it. */
+    bool internal = false;
 };
 
 /** The cross-file model every project-level rule consumes. */
@@ -100,6 +104,9 @@ struct ProjectModel
 
     /** identifier -> number of *use* appearances across every file. */
     std::map<std::string, int> uses;
+
+    /** The same count per file, for internal-linkage functions. */
+    std::map<const SourceFile *, std::map<std::string, int>> file_uses;
 
     /** include key -> (target include key, line) edges between
      *  scanned files only. */

@@ -711,16 +711,19 @@ ruleT002DeadSymbol(const ProjectModel &pm, std::vector<Finding> &out)
 {
     std::set<std::pair<const SourceFile *, int>> seen;
     for (const auto &d : pm.function_defs) {
-        auto it = pm.uses.find(d.name);
-        if (it != pm.uses.end() && it->second > 0)
+        // An internal-linkage function is reachable only from its own
+        // file, so a same-named use elsewhere does not keep it alive.
+        const auto &uses = d.internal ? pm.file_uses.at(d.file) : pm.uses;
+        auto it = uses.find(d.name);
+        if (it != uses.end() && it->second > 0)
             continue;
         if (!seen.insert({d.file, d.line}).second)
             continue;
         emit(*d.file, out, d.line, d.col, "CNL-T002",
-             "function '" + d.name +
-                 "' is defined but never used anywhere in the scanned "
-                 "tree; delete it or add the caller that was meant to "
-                 "exist");
+             "function '" + d.name + "' is defined but never used " +
+                 (d.internal ? "in its own file (it has internal linkage)"
+                             : "anywhere in the scanned tree") +
+                 "; delete it or add the caller that was meant to exist");
     }
 }
 
@@ -771,8 +774,8 @@ ruleCatalog()
         {"CNL-T001",
          "EventQueue callable captures a stack local by reference", true},
         {"CNL-T002",
-         "function defined but never used in the scanned tree "
-         "(--dead-symbols)",
+         "function defined but never used in the scanned tree, or in its "
+         "own file when internal (--dead-symbols)",
          true},
     };
     return catalog;

@@ -305,6 +305,7 @@ SourceFile::assignScopes()
         None,
         Class,
         Enum,
+        Namespace,
     };
     Pending pending = Pending::None;
     std::vector<ScopeKind> stack;
@@ -343,12 +344,16 @@ SourceFile::assignScopes()
                     pending = Pending::Class;
             } else if (t.text == "enum") {
                 pending = Pending::Enum;
+            } else if (t.text == "namespace") {
+                pending = Pending::Namespace;
             }
         } else if (t.kind == TokKind::Punct) {
             if (t.text == "{") {
                 stack.push_back(pending == Pending::Class ? ScopeKind::Class
                                 : pending == Pending::Enum
                                     ? ScopeKind::Enum
+                                : pending == Pending::Namespace
+                                    ? ScopeKind::File
                                     : ScopeKind::Block);
                 pending = Pending::None;
             } else if (t.text == "}") {
