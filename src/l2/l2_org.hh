@@ -166,20 +166,16 @@ class L2Org
      */
     std::function<void(CoreId core, Addr l2_block_addr, bool wt)> l1Downgrade;
 
-    /** Install both L1 hooks; organizations with inner caches forward. */
+    /** Install both L1 hooks. */
     void
     setL1Hooks(std::function<void(CoreId, Addr)> inv,
                std::function<void(CoreId, Addr, bool)> down)
     {
         l1Invalidate = std::move(inv);
         l1Downgrade = std::move(down);
-        onL1Hooks();
     }
 
   protected:
-    /** Called after setL1Hooks(); wrappers forward to inner caches. */
-    virtual void onL1Hooks() {}
-
     /** Record one classified access. */
     void
     record(AccessClass c)

@@ -45,6 +45,10 @@ Checkpoint::serialize() const
     w.u64(trace_params_hash);
     w.u64(trace_seed);
     w.u64(warmup_instructions);
+    w.u8(settings.enable_cr);
+    w.u8(settings.enable_isc);
+    w.u32(settings.promotion);
+    w.u32(settings.replication);
     cnsim_assert(cores.size() == num_cores,
                  "checkpoint has %zu core states for %u cores",
                  cores.size(), num_cores);
@@ -114,6 +118,15 @@ Checkpoint::deserialize(const std::string &bytes, const std::string &what)
     ck.trace_params_hash = r.u64();
     ck.trace_seed = r.u64();
     ck.warmup_instructions = r.u64();
+    ck.settings.enable_cr = r.u8();
+    ck.settings.enable_isc = r.u8();
+    ck.settings.promotion = r.u32();
+    ck.settings.replication = r.u32();
+    if (ck.settings.enable_cr > 1 || ck.settings.enable_isc > 1)
+        fatal("corrupt CNCKPT01 checkpoint '%s': CR/ISC flags %u/%u are "
+              "not 0 or 1",
+              what.c_str(), static_cast<unsigned>(ck.settings.enable_cr),
+              static_cast<unsigned>(ck.settings.enable_isc));
     if (ck.num_cores == 0 || ck.num_cores > 1024)
         fatal("corrupt CNCKPT01 checkpoint '%s': implausible core count "
               "%u",
@@ -167,7 +180,8 @@ Checkpoint::validateConfig(std::uint32_t run_cores,
                            std::uint32_t run_l2_kind,
                            std::uint32_t run_interconnect,
                            std::uint64_t run_trace_hash, bool check_trace,
-                           const std::string &what) const
+                           const std::string &what,
+                           const BehaviourSettings *run_settings) const
 {
     if (num_cores != run_cores)
         fatal("checkpoint '%s' was taken on a %u-core system but this "
@@ -187,6 +201,28 @@ Checkpoint::validateConfig(std::uint32_t run_cores,
               what.c_str(),
               static_cast<unsigned long long>(trace_params_hash),
               static_cast<unsigned long long>(run_trace_hash));
+    if (!run_settings)
+        return;
+    auto onOff = [](std::uint8_t b) { return b ? "on" : "off"; };
+    const BehaviourSettings &run = *run_settings;
+    if (settings.enable_cr != run.enable_cr)
+        fatal("checkpoint '%s' was warmed with controlled replication "
+              "(CR) %s, but this run has it %s",
+              what.c_str(), onOff(settings.enable_cr),
+              onOff(run.enable_cr));
+    if (settings.enable_isc != run.enable_isc)
+        fatal("checkpoint '%s' was warmed with in-situ communication "
+              "(ISC) %s, but this run has it %s",
+              what.c_str(), onOff(settings.enable_isc),
+              onOff(run.enable_isc));
+    if (settings.promotion != run.promotion)
+        fatal("checkpoint '%s' was warmed under promotion policy %u, but "
+              "this run uses policy %u",
+              what.c_str(), settings.promotion, run.promotion);
+    if (settings.replication != run.replication)
+        fatal("checkpoint '%s' was warmed under replication policy %u, "
+              "but this run uses policy %u",
+              what.c_str(), settings.replication, run.replication);
 }
 
 } // namespace sample

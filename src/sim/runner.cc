@@ -235,6 +235,18 @@ Runner::validate(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
 namespace
 {
 
+/** The settings of @p sc that a checkpoint records (NuRAPID's). */
+sample::BehaviourSettings
+behaviourSettings(const SystemConfig &sc)
+{
+    sample::BehaviourSettings s;
+    s.enable_cr = sc.nurapid.enable_cr ? 1 : 0;
+    s.enable_isc = sc.nurapid.enable_isc ? 1 : 0;
+    s.promotion = static_cast<std::uint32_t>(sc.nurapid.promotion);
+    s.replication = static_cast<std::uint32_t>(sc.nurapid.replication);
+    return s;
+}
+
 /** Snapshot the post-warm-up machine into a Checkpoint (stats are not
  * serialized: both the saving and the resuming run reset statistics at
  * this same boundary, so the measurement epochs are identical). */
@@ -260,6 +272,7 @@ makeCheckpoint(const System &system, const EventQueue &eq,
         ck.trace_seed = wp.seed;
     }
     ck.warmup_instructions = run_cfg.warmup_instructions;
+    ck.settings = behaviourSettings(sc);
     for (const auto &core : cores) {
         sample::CoreState cs;
         cs.instructions = core->instructions();
@@ -357,12 +370,15 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
                       effectiveSynthParams(workload, run_cfg));
         // File checkpoints are config-strict including trace
         // provenance; the in-memory variability path relaxes the trace
-        // hash because each seed replays its own canonical stream.
+        // hash because each seed replays its own canonical stream. Only
+        // NuRAPID's warm state depends on the behaviour settings.
+        const sample::BehaviourSettings run_settings = behaviourSettings(sc);
         resume_ck->validateConfig(
             static_cast<std::uint32_t>(sc.num_cores),
             static_cast<std::uint32_t>(sc.l2_kind),
             static_cast<std::uint32_t>(sc.interconnect), run_hash,
-            /*check_trace=*/!run_cfg.ckpt_load.empty(), resume_what);
+            /*check_trace=*/!run_cfg.ckpt_load.empty(), resume_what,
+            sc.l2_kind == L2Kind::Nurapid ? &run_settings : nullptr);
         eq.resumeAt(resume_ck->tick, resume_ck->events_executed);
         for (std::size_t c = 0; c < cores.size(); ++c)
             cores[c]->restoreCursor(resume_ck->cores[c]);

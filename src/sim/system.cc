@@ -4,6 +4,7 @@
 #include "l2/dnuca_l2.hh"
 #include "mem/directory.hh"
 #include "l2/ideal_l2.hh"
+#include "l2/snuca_l2.hh"
 #include "l2/update_l2.hh"
 
 namespace cnsim

@@ -20,7 +20,6 @@
 #include "l2/l2_org.hh"
 #include "l2/private_l2.hh"
 #include "l2/shared_l2.hh"
-#include "l2/snuca_l2.hh"
 #include "mem/bus.hh"
 #include "mem/interconnect.hh"
 #include "mem/memory.hh"

@@ -7,8 +7,9 @@
  * corruption class a file can suffer -- wrong magic, clipped tail, bit
  * flips, an unsupported version, an implausible header -- dies with a
  * clear fatal() naming the file, never a decode of garbage. Config
- * validation rejects a checkpoint taken on a different machine shape or
- * warmed on a different reference stream.
+ * validation rejects a checkpoint taken on a different machine shape,
+ * warmed on a different reference stream, or warmed under other
+ * behaviour settings than a NuRAPID resume runs with.
  *
  * Runner side: the restore-exactness contract. Saving at the warm-up
  * boundary and resuming must reproduce the straight-through run
@@ -56,6 +57,10 @@ sampleCheckpoint()
     ck.trace_params_hash = 0xdeadbeefcafef00dull;
     ck.trace_seed = 7;
     ck.warmup_instructions = 1'000'000;
+    ck.settings.enable_cr = 0;
+    ck.settings.enable_isc = 1;
+    ck.settings.promotion = 2;
+    ck.settings.replication = 1;
     for (std::uint64_t c = 0; c < 4; ++c) {
         sample::CoreState cs;
         cs.instructions = 1'000'000 + c;
@@ -87,6 +92,10 @@ TEST(Checkpoint, SerializeDeserializeRoundTripsEveryField)
     EXPECT_EQ(got.trace_params_hash, ck.trace_params_hash);
     EXPECT_EQ(got.trace_seed, ck.trace_seed);
     EXPECT_EQ(got.warmup_instructions, ck.warmup_instructions);
+    EXPECT_EQ(got.settings.enable_cr, ck.settings.enable_cr);
+    EXPECT_EQ(got.settings.enable_isc, ck.settings.enable_isc);
+    EXPECT_EQ(got.settings.promotion, ck.settings.promotion);
+    EXPECT_EQ(got.settings.replication, ck.settings.replication);
     ASSERT_EQ(got.cores.size(), ck.cores.size());
     for (std::size_t c = 0; c < ck.cores.size(); ++c) {
         EXPECT_EQ(got.cores[c].instructions, ck.cores[c].instructions);
@@ -179,10 +188,21 @@ TEST(CheckpointDeath, UnsupportedVersionRejected)
     // future format revision: rejected by the version gate, not
     // misparsed.
     sample::Checkpoint ck = sampleCheckpoint();
-    ck.version = 2;
+    ck.version = sample::Checkpoint::current_version + 1;
     std::string bytes = ck.serialize();
     EXPECT_DEATH(sample::Checkpoint::deserialize(bytes, "<memory>"),
-                 "unsupported CNCKPT01 version 2");
+                 "unsupported CNCKPT01 version " +
+                     std::to_string(ck.version));
+}
+
+TEST(CheckpointDeath, NonBooleanSettingRejected)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    sample::Checkpoint ck = sampleCheckpoint();
+    ck.settings.enable_isc = 2;
+    std::string bytes = ck.serialize();
+    EXPECT_DEATH(sample::Checkpoint::deserialize(bytes, "<memory>"),
+                 "CR/ISC flags 0/2 are not 0 or 1");
 }
 
 TEST(CheckpointDeath, ImplausibleCoreCountRejected)
@@ -213,6 +233,36 @@ TEST(CheckpointDeath, ConfigMismatchesRejected)
     EXPECT_DEATH(
         ck.validateConfig(4, 2, 1, 0x1234, true, "c.ckpt"),
         "warmed on a different reference stream");
+}
+
+TEST(CheckpointDeath, SettingMismatchesRejectedByName)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    sample::Checkpoint ck = sampleCheckpoint();
+    auto validate = [&](const sample::BehaviourSettings &run) {
+        ck.validateConfig(4, 2, 1, ck.trace_params_hash, true, "c.ckpt",
+                          &run);
+    };
+    sample::BehaviourSettings run = ck.settings;
+    validate(run);
+    run.enable_cr = 1;
+    EXPECT_DEATH(validate(run), "controlled replication \\(CR\\) off, "
+                                "but this run has it on");
+    run = ck.settings;
+    run.enable_isc = 0;
+    EXPECT_DEATH(validate(run), "in-situ communication \\(ISC\\) on, "
+                                "but this run has it off");
+    run = ck.settings;
+    run.promotion = 0;
+    EXPECT_DEATH(validate(run), "promotion policy 2, but this run uses "
+                                "policy 0");
+    run = ck.settings;
+    run.replication = 0;
+    EXPECT_DEATH(validate(run), "replication policy 1, but this run uses "
+                                "policy 0");
+    // Without run settings (every organization but NuRAPID) they are
+    // not compared.
+    ck.validateConfig(4, 2, 1, ck.trace_params_hash, true, "c.ckpt");
 }
 
 TEST(Checkpoint, TraceHashCheckRelaxedForInMemorySharing)

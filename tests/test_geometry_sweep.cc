@@ -85,7 +85,7 @@ TEST_P(SharedGeometry, OccupancyNeverExceedsCapacity)
         l2.access(acc, t);
         t += 50;
         if (i % 500 == 499) {
-            EXPECT_LE(l2.validBlocks(), blocks);
+            EXPECT_LE(l2.validBlockCount(), blocks);
             l2.checkInvariants();
         }
     }
@@ -93,7 +93,7 @@ TEST_P(SharedGeometry, OccupancyNeverExceedsCapacity)
     // the smaller of its capacity and the unique blocks it could have
     // seen.
     std::uint64_t reachable = std::min<std::uint64_t>(blocks, 4000 / 2);
-    EXPECT_GT(l2.validBlocks(), reachable / 2);
+    EXPECT_GT(l2.validBlockCount(), reachable / 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(

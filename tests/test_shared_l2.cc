@@ -157,10 +157,10 @@ TEST(SharedL2, ValidBlocksTracksOccupancy)
 {
     MainMemory mem;
     SharedL2 l2(tinyShared(), mem);
-    EXPECT_EQ(l2.validBlocks(), 0u);
+    EXPECT_EQ(l2.validBlockCount(), 0u);
     l2.access({0, 0x1000, MemOp::Load}, 0);
     l2.access({0, 0x2000, MemOp::Load}, 0);
-    EXPECT_EQ(l2.validBlocks(), 2u);
+    EXPECT_EQ(l2.validBlockCount(), 2u);
     l2.checkInvariants();
 }
 

@@ -99,7 +99,7 @@ TEST(SnucaL2, MissFillsFromMemory)
     EXPECT_EQ(mem.reads(), 1u);
 }
 
-TEST(SnucaL2, L1HooksForwardToInner)
+TEST(SnucaL2, StoreInvalidatesPeerL1s)
 {
     MainMemory mem;
     SnucaL2 l2(tinyShared(), defaultSnuca(), mem);
