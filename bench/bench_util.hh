@@ -236,14 +236,6 @@ run(L2Kind kind, const std::string &workload)
     return run(toString(kind), Runner::paperConfig(kind), workload);
 }
 
-/** Run a custom system configuration (uncached legacy entry point). */
-inline RunResult
-run(const SystemConfig &cfg, const std::string &workload)
-{
-    return Runner::run(auditedFromEnv(cfg), workloads::byName(workload),
-                       runConfig());
-}
-
 inline void
 header(const std::string &title, const std::string &paper_ref)
 {

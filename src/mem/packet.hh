@@ -73,8 +73,6 @@ struct AccessResult
     Tick complete = 0;
     /** Paper-style access classification. */
     AccessClass cls = AccessClass::Hit;
-    /** D-group that serviced the data, or invalid_id if not applicable. */
-    DGroupId dgroup = invalid_id;
     /** True if serviced from the requestor's closest d-group. */
     bool closest = false;
     /** True if the L1 copy (if any) must be write-through (C state). */

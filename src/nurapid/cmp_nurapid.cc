@@ -437,7 +437,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             (dg == my_closest ? n_closest_hits : n_farther_hits).inc();
             res.complete = td;
             res.cls = AccessClass::Hit;
-            res.dgroup = dg;
             res.closest = dg == my_closest;
             res.l1Owned = true;
             break;
@@ -483,7 +482,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                 (dg == my_closest ? n_closest_hits : n_farther_hits).inc();
                 res.complete = td;
                 res.cls = AccessClass::Hit;
-                res.dgroup = dg;
                 res.closest = dg == my_closest;
             } else {
                 // Write to a clean shared block: BusUpg.
@@ -511,7 +509,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                         .inc();
                     res.complete = td;
                     res.cls = AccessClass::Hit;
-                    res.dgroup = keep.dgroup;
                     res.closest = keep.dgroup == my_closest;
                     res.l1WriteThrough = true;
                     trace("BusUpg %llx -> C",
@@ -551,7 +548,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                         .inc();
                     res.complete = td;
                     res.cls = AccessClass::Hit;
-                    res.dgroup = nf.dgroup;
                     res.closest = nf.dgroup == my_closest;
                     res.l1Owned = true;
                 }
@@ -587,7 +583,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             (dg == my_closest ? n_closest_hits : n_farther_hits).inc();
             res.complete = td;
             res.cls = AccessClass::Hit;
-            res.dgroup = dg;
             res.closest = dg == my_closest;
             res.l1WriteThrough = true;
             break;
@@ -639,7 +634,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             }
             res.complete = tr;
             res.l1WriteThrough = true;
-            res.dgroup = e->fwd.dgroup;
             res.closest = e->fwd.dgroup == my_closest;
             trace("ISC read join %llx",
                   static_cast<unsigned long long>(baddr));
@@ -676,7 +670,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             emitTrans(tr, c, baddr, CohState::Invalid, CohState::Shared,
                       obs::TransCause::Fill);
             res.complete = tr;
-            res.dgroup = e->fwd.dgroup;
             res.closest = e->fwd.dgroup == my_closest;
         } else if (sr.clean) {
             // Clean copy on chip: controlled replication returns a
@@ -715,7 +708,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             emitTrans(tr, c, baddr, CohState::Invalid, CohState::Shared,
                       obs::TransCause::Fill);
             res.complete = tr;
-            res.dgroup = e->fwd.dgroup;
             res.closest = e->fwd.dgroup == my_closest;
         } else {
             // Off-chip: fill from memory into our closest d-group, E.
@@ -727,7 +719,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             emitTrans(tm, c, baddr, CohState::Invalid,
                       CohState::Exclusive, obs::TransCause::Fill);
             res.complete = tm;
-            res.dgroup = nf.dgroup;
             res.closest = true;
         }
     } else {
@@ -744,7 +735,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             n_isc_joins.inc();
             res.complete = tw;
             res.l1WriteThrough = true;
-            res.dgroup = keep.dgroup;
             res.closest = keep.dgroup == my_closest;
             trace("ISC write join %llx",
                   static_cast<unsigned long long>(baddr));
@@ -781,7 +771,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                       obs::TransCause::Fill);
             res.complete = tr;
             res.l1Owned = true;
-            res.dgroup = nf.dgroup;
             res.closest = true;
         } else {
             Tick tm = memory.read(tb);
@@ -793,7 +782,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                       obs::TransCause::Fill);
             res.complete = tm;
             res.l1Owned = true;
-            res.dgroup = nf.dgroup;
             res.closest = true;
         }
     }
