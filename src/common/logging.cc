@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -80,6 +81,20 @@ fatal(const char *fmt, ...)
     va_end(args);
     std::fprintf(stderr, "fatal: %s\n", s.c_str());
     std::exit(1);
+}
+
+void
+finishStdout()
+{
+    // A write that failed earlier leaves its bytes buffered, so the
+    // flush fails again and sets errno; the error flag catches a failure
+    // whose errno is gone.
+    errno = 0;
+    const bool flushed = std::fflush(stdout) == 0;
+    const int err = errno;
+    if (!flushed || std::ferror(stdout))
+        fatal("cannot write standard output: %s",
+              err ? std::strerror(err) : "write error");
 }
 
 void

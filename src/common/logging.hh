@@ -61,6 +61,13 @@ void warnOnce(const std::string &key, const char *fmt, ...)
 /** Report normal operating status. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/**
+ * Flush stdout and fatal() with the errno text if any write to it failed
+ * (a full disk, say). A tool calls this as main() returns, so results it
+ * printed but could not deliver never exit 0.
+ */
+void finishStdout();
+
 /** Globally silence inform()/warn() output (used by tests and benches). */
 void setQuiet(bool quiet);
 

@@ -210,10 +210,9 @@ parseWorkloads(const std::string &s)
     return {s};
 }
 
-} // namespace
-
+/** The tool proper; main() then checks that its output arrived. */
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     std::string l2_arg = "nurapid";
     std::string wl_arg = "oltp";
@@ -471,4 +470,14 @@ main(int argc, char **argv)
                    (1024.0 * 1024.0));
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    const int rc = runTool(argc, argv);
+    finishStdout();
+    return rc;
 }

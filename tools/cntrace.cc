@@ -165,10 +165,9 @@ parseKind(const std::string &s, obs::EventKind &out)
     return false;
 }
 
-} // namespace
-
+/** The tool proper; main() then checks that its output arrived. */
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     if (argc >= 2 && (std::strcmp(argv[1], "--help") == 0 ||
                       std::strcmp(argv[1], "-h") == 0)) {
@@ -319,4 +318,14 @@ main(int argc, char **argv)
     std::fprintf(stderr, "%llu of %zu events shown\n",
                  static_cast<unsigned long long>(shown), events.size());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    const int rc = runTool(argc, argv);
+    finishStdout();
+    return rc;
 }
