@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/bytes.hh"
 #include "l2/dnuca_l2.hh"
 #include "mem/memory.hh"
 
@@ -138,6 +141,22 @@ TEST(DnucaL2, MigrationCounterAdvancesOnlyOnMoves)
     r.l2.access({0, a, MemOp::Load}, 1000);
     // Already at the requestor's corner: no move.
     EXPECT_EQ(r.l2.migrations(), m);
+}
+
+TEST(DnucaL2DeathTest, CheckpointBankOffTheGridIsFatal)
+{
+    Rig r;
+    ByteWriter w;
+    r.l2.saveState(w);
+    std::string bytes = w.take();
+    // 64 blocks: sets and ways (u32 each), the LRU clock and one LRU
+    // stamp per block, then the first record's address and flags come
+    // before its u32 bank.
+    bytes[4 + 4 + 8 + 64 * 8 + 8 + 1] = 16;
+    MainMemory mem;
+    DnucaL2 fresh(tinyShared(), SnucaParams{}, mem);
+    ByteReader rd(bytes.data(), bytes.size(), "test checkpoint");
+    EXPECT_DEATH(fresh.loadState(rd), "bank 16 does not fit this run's 16");
 }
 
 } // namespace
