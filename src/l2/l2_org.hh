@@ -36,7 +36,7 @@ class ByteWriter;
 class L2Org
 {
   public:
-    explicit L2Org(std::string name) : _name(std::move(name)) {}
+    L2Org() = default;
     virtual ~L2Org() = default;
 
     L2Org(const L2Org &) = delete;
@@ -197,8 +197,6 @@ class L2Org
         if (l1Downgrade)
             l1Downgrade(core, l2_block_addr, wt);
     }
-
-    std::string _name;
 
     /** Observability sink; null (and dormant) unless enabled. */
     obs::TraceSink *sink = nullptr;

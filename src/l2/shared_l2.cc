@@ -10,7 +10,7 @@ namespace cnsim
 {
 
 SharedL2::SharedL2(const SharedL2Params &p, MainMemory &mem)
-    : L2Org("sharedL2"), params(p), placement(Placement::Uniform),
+    : params(p), placement(Placement::Uniform),
       occupancy(p.occupancy), memory(mem),
       array(static_cast<unsigned>(p.capacity / (p.assoc * p.block_size)),
             p.assoc, p.block_size)
@@ -21,8 +21,7 @@ SharedL2::SharedL2(const SharedL2Params &p, MainMemory &mem)
 
 SharedL2::SharedL2(const SharedL2Params &p, const SnucaParams &grid,
                    Placement pl, MainMemory &mem)
-    : L2Org(pl == Placement::Migrating ? "dnucaL2" : "snucaL2"),
-      params(p), placement(pl), num_banks(grid.banks),
+    : params(p), placement(pl), num_banks(grid.banks),
       occupancy(grid.occupancy), memory(mem),
       array(static_cast<unsigned>(p.capacity / (p.assoc * p.block_size)),
             p.assoc, p.block_size)

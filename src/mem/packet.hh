@@ -65,7 +65,7 @@ struct MemAccess
 
 /**
  * Result of an L2 access: when it completes, how it was classified,
- * and where the data was found (for d-group distribution stats).
+ * and what the requestor's L1 may do with its copy.
  */
 struct AccessResult
 {
@@ -73,8 +73,6 @@ struct AccessResult
     Tick complete = 0;
     /** Paper-style access classification. */
     AccessClass cls = AccessClass::Hit;
-    /** True if serviced from the requestor's closest d-group. */
-    bool closest = false;
     /** True if the L1 copy (if any) must be write-through (C state). */
     bool l1WriteThrough = false;
     /** True if the L1 may cache the block with silent-store ownership. */

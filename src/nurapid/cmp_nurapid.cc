@@ -19,7 +19,7 @@ constexpr Addr no_pin = static_cast<Addr>(-1);
 
 CmpNurapid::CmpNurapid(const NurapidParams &p, Interconnect &bus,
                        MainMemory &mem)
-    : L2Org("cmpNurapid"), params(p), bus(bus), memory(mem),
+    : params(p), bus(bus), memory(mem),
       pref(p.num_cores, p.num_dgroups, p.dgroup_latencies),
       xbar(p.num_dgroups),
       data(p.num_dgroups,
@@ -437,7 +437,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             (dg == my_closest ? n_closest_hits : n_farther_hits).inc();
             res.complete = td;
             res.cls = AccessClass::Hit;
-            res.closest = dg == my_closest;
             res.l1Owned = true;
             break;
           }
@@ -482,7 +481,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                 (dg == my_closest ? n_closest_hits : n_farther_hits).inc();
                 res.complete = td;
                 res.cls = AccessClass::Hit;
-                res.closest = dg == my_closest;
             } else {
                 // Write to a clean shared block: BusUpg.
                 Tick tb = bus.transaction(BusCmd::BusUpg, c, baddr, t);
@@ -509,7 +507,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                         .inc();
                     res.complete = td;
                     res.cls = AccessClass::Hit;
-                    res.closest = keep.dgroup == my_closest;
                     res.l1WriteThrough = true;
                     trace("BusUpg %llx -> C",
                           static_cast<unsigned long long>(baddr));
@@ -548,7 +545,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                         .inc();
                     res.complete = td;
                     res.cls = AccessClass::Hit;
-                    res.closest = nf.dgroup == my_closest;
                     res.l1Owned = true;
                 }
             }
@@ -583,7 +579,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             (dg == my_closest ? n_closest_hits : n_farther_hits).inc();
             res.complete = td;
             res.cls = AccessClass::Hit;
-            res.closest = dg == my_closest;
             res.l1WriteThrough = true;
             break;
           }
@@ -634,7 +629,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             }
             res.complete = tr;
             res.l1WriteThrough = true;
-            res.closest = e->fwd.dgroup == my_closest;
             trace("ISC read join %llx",
                   static_cast<unsigned long long>(baddr));
         } else if (sr.dirty) {
@@ -670,7 +664,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             emitTrans(tr, c, baddr, CohState::Invalid, CohState::Shared,
                       obs::TransCause::Fill);
             res.complete = tr;
-            res.closest = e->fwd.dgroup == my_closest;
         } else if (sr.clean) {
             // Clean copy on chip: controlled replication returns a
             // pointer on the pointer wires instead of the data block;
@@ -708,7 +701,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             emitTrans(tr, c, baddr, CohState::Invalid, CohState::Shared,
                       obs::TransCause::Fill);
             res.complete = tr;
-            res.closest = e->fwd.dgroup == my_closest;
         } else {
             // Off-chip: fill from memory into our closest d-group, E.
             Tick tm = memory.read(tb);
@@ -719,7 +711,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             emitTrans(tm, c, baddr, CohState::Invalid,
                       CohState::Exclusive, obs::TransCause::Fill);
             res.complete = tm;
-            res.closest = true;
         }
     } else {
         if (sr.dirty && params.enable_isc) {
@@ -735,7 +726,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             n_isc_joins.inc();
             res.complete = tw;
             res.l1WriteThrough = true;
-            res.closest = keep.dgroup == my_closest;
             trace("ISC write join %llx",
                   static_cast<unsigned long long>(baddr));
         } else if (sr.dirty || sr.clean) {
@@ -771,7 +761,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                       obs::TransCause::Fill);
             res.complete = tr;
             res.l1Owned = true;
-            res.closest = true;
         } else {
             Tick tm = memory.read(tb);
             FwdPtr nf = placeInClosest(c, freed_dg);
@@ -782,7 +771,6 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                       obs::TransCause::Fill);
             res.complete = tm;
             res.l1Owned = true;
-            res.closest = true;
         }
     }
 

@@ -104,7 +104,7 @@ TEST(NurapidCR, ThirdUseHitsClosestFast)
     r.l2.access({1, 0x1000, MemOp::Load}, 1000);
     r.l2.access({1, 0x1000, MemOp::Load}, 2000);
     AccessResult a = r.l2.access({1, 0x1000, MemOp::Load}, 3000);
-    EXPECT_TRUE(a.closest);
+    EXPECT_EQ(r.l2.fwdOf(1, 0x1000).dgroup, r.l2.prefTable().closest(1));
     // tag(5) + closest d-group (6).
     EXPECT_EQ(a.complete, 3000u + 5u + 6u);
 }
