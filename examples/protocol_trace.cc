@@ -103,10 +103,11 @@ main()
 
     l2.checkInvariants();
     std::printf("\nfinal stats: pointerJoins=%llu replications=%llu "
-                "iscJoins=%llu cWrites=%llu busRepl=%llu\n",
+                "iscJoins=%llu cWrites=%llu busRepl=%llu demotions=%llu\n",
                 (unsigned long long)l2.pointerJoins(),
                 (unsigned long long)l2.replications(),
                 (unsigned long long)l2.iscJoins(),
+                (unsigned long long)l2.cWrites(),
                 (unsigned long long)l2.busRepls(),
                 (unsigned long long)l2.demotions());
     return 0;

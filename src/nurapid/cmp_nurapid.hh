@@ -153,6 +153,7 @@ class CmpNurapid : public L2Org
     }
     [[nodiscard]] std::uint64_t iscJoins() const { return n_isc_joins.value(); }
     [[nodiscard]] std::uint64_t busRepls() const { return n_bus_repl.value(); }
+    [[nodiscard]] std::uint64_t cWrites() const { return n_c_writes.value(); }
 
     void saveState(ByteWriter &w) const override;
     void loadState(ByteReader &r) override;
