@@ -132,7 +132,11 @@ NuTagArray::loadState(ByteReader &r)
         std::uint8_t flags = r.u8();
         e.valid = flags & 1;
         e.busy = flags & 2;
-        e.state = static_cast<CohState>(r.u8());
+        std::uint8_t state = r.u8();
+        if (state > static_cast<std::uint8_t>(CohState::Communication))
+            r.fail("NuRAPID tag state %u is not I, S, E, M or C",
+                   unsigned{state});
+        e.state = static_cast<CohState>(state);
         e.fwd.dgroup =
             static_cast<DGroupId>(static_cast<std::int32_t>(r.u32()));
         e.fwd.frame = static_cast<int>(static_cast<std::int32_t>(r.u32()));

@@ -32,6 +32,31 @@ TEST(NuTagArray, FindAfterInstall)
     EXPECT_EQ(t.find(0x2000), nullptr);
 }
 
+TEST(NuTagArrayDeathTest, LoadRejectsStateOutOfRange)
+{
+    NuTagArray t(0, 4, 2, 128);
+    TagEntry *v = t.replacementVictim(0x1000);
+    v->valid = true;
+    v->addr = 0x1000;
+    v->state = CohState::Communication;
+    ByteWriter w;
+    t.saveState(w);
+    std::string bytes = w.take();
+    // Sets and ways (u32 each) and the LRU clock, then the first entry's
+    // {u64 addr, u8 flags, u8 state, ...}; 0x1000 fills set 0, way 0.
+    const std::size_t state_at = 4 + 4 + 8 + 8 + 1;
+    auto load = [&bytes] {
+        NuTagArray d(0, 4, 2, 128);
+        ByteReader r(bytes.data(), bytes.size(), "test checkpoint");
+        d.loadState(r);
+        return d.find(0x1000)->state;
+    };
+    EXPECT_EQ(load(), CohState::Communication);
+    bytes[state_at] = 5;
+    EXPECT_DEATH(load(), "fatal: test checkpoint: NuRAPID tag state 5 is not "
+                         "I, S, E, M or C");
+}
+
 TEST(NuTagArray, PosOfRoundTrips)
 {
     NuTagArray t(2, 4, 2, 128);

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "l2/private_l2.hh"
 #include "mem/bus.hh"
 #include "mem/memory.hh"
@@ -214,6 +216,38 @@ TEST(PrivateL2, InvariantNoReplicatedExclusive)
     r.l2.access({1, 0x2000, MemOp::Store}, 100);
     r.l2.access({2, 0x1000, MemOp::Load}, 200);
     r.l2.checkInvariants();
+}
+
+TEST(PrivateL2DeathTest, CheckpointStateOrFillClassOutOfRangeIsFatal)
+{
+    Rig r;
+    r.l2.access({0, 0x0000, MemOp::Load}, 0);
+    ByteWriter w;
+    r.l2.saveState(w);
+    const std::string bytes = w.take();
+    // Core 0's array: sets and ways (u32 each), the LRU clock and one
+    // stamp per block (16), then the first block's {u64 addr, u8 flags,
+    // u8 state, u8 fill class, u32 reuses}.
+    const std::size_t state_at = 4 + 4 + 8 + 16 * 8 + 8 + 1;
+    ASSERT_EQ(bytes[state_at], static_cast<char>(CohState::Exclusive));
+    auto load = [](const std::string &b) {
+        MainMemory mem;
+        SnoopBus bus;
+        PrivateL2 fresh(tinyPrivate(), bus, mem);
+        ByteReader rd(b.data(), b.size(), "test checkpoint");
+        fresh.loadState(rd);
+    };
+    load(bytes);
+    // C is a NuRAPID state, never a private cache's.
+    std::string bad = bytes;
+    bad[state_at] = static_cast<char>(CohState::Communication);
+    EXPECT_DEATH(load(bad),
+                 "fatal: test checkpoint: block state 4 is not I, S, E or M");
+    bad = bytes;
+    bad[state_at + 1] = 4;
+    EXPECT_DEATH(load(bad),
+                 "fatal: test checkpoint: fill class 4 is not an access "
+                 "class");
 }
 
 } // namespace
