@@ -1,7 +1,8 @@
 /**
  * @file
- * MESIC protocol walkthrough. Installs CmpNurapid's trace hook and
- * replays the paper's running examples step by step:
+ * MESIC protocol walkthrough. Replays the paper's running examples
+ * step by step, printing each step's outcome and the block's states
+ * and frames after it:
  *
  *   Figure 3 (controlled replication): P0 fills X; P1 read-misses and
  *   receives a pointer (tag copy, no data copy); P1's second use
@@ -63,9 +64,6 @@ main()
     CmpNurapid l2(p, bus, mem);
     g_l2 = &l2;
     l2.setL1Hooks([](CoreId, Addr) {}, [](CoreId, Addr, bool) {});
-    l2.traceHook = [](const std::string &s) {
-        std::printf("    [protocol] %s\n", s.c_str());
-    };
 
     const Addr X = 0x1000;
     const Addr Y = 0x2000;

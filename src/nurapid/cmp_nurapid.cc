@@ -1,7 +1,6 @@
 #include "nurapid/cmp_nurapid.hh"
 
 #include <algorithm>
-#include <cstdarg>
 
 #include "common/bytes.hh"
 #include "common/flat_map.hh"
@@ -21,7 +20,6 @@ CmpNurapid::CmpNurapid(const NurapidParams &p, Interconnect &bus,
                        MainMemory &mem)
     : params(p), bus(bus), memory(mem),
       pref(p.num_cores, p.num_dgroups, p.dgroup_latencies),
-      xbar(p.num_dgroups),
       data(p.num_dgroups,
            static_cast<unsigned>(p.dgroup_capacity / p.block_size)),
       rng(p.seed)
@@ -36,12 +34,15 @@ CmpNurapid::CmpNurapid(const NurapidParams &p, Interconnect &bus,
     unsigned sets = base_sets * p.tag_factor;
     cnsim_assert(isPowerOf2(sets), "tag sets (%u) must be a power of two",
                  sets);
+    tags.reserve(static_cast<std::size_t>(p.num_cores));
+    tag_ports.reserve(static_cast<std::size_t>(p.num_cores));
     for (int c = 0; c < p.num_cores; ++c) {
-        tags.emplace_back(
-            std::make_unique<NuTagArray>(c, sets, p.assoc, p.block_size));
-        tag_ports.emplace_back(
-            std::make_unique<Resource>(strfmt("tagPort%d", c), 1));
+        tags.emplace_back(sets, p.assoc, p.block_size);
+        tag_ports.emplace_back(strfmt("tagPort%d", c), 1);
     }
+    dgroup_ports.reserve(static_cast<std::size_t>(p.num_dgroups));
+    for (int g = 0; g < p.num_dgroups; ++g)
+        dgroup_ports.emplace_back(strfmt("dgroupPort%d", g), 1);
     if (!p.enable_isc && p.replication == ReplicationPolicy::Never &&
         p.enable_cr) {
         // Every worker of a sweep grid builds this config; one line of
@@ -65,18 +66,6 @@ CmpNurapid::kind() const
 }
 
 void
-CmpNurapid::trace(const char *fmt, ...)
-{
-    if (!traceHook)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    std::string s = vstrfmt(fmt, args);
-    va_end(args);
-    traceHook(s);
-}
-
-void
 CmpNurapid::emitTrans(Tick t, CoreId core, Addr addr, CohState olds,
                       CohState news, obs::TransCause cause,
                       std::uint64_t flags)
@@ -97,8 +86,28 @@ CmpNurapid::emitDGroup(Tick t, CoreId core, Addr addr, obs::DGroupOp op,
 Tick
 CmpNurapid::accessDGroup(CoreId core, DGroupId dg, Tick at)
 {
-    Tick start = xbar.access(dg, at, params.dgroup_occupancy);
+    n_xbar_accesses.inc();
+    Tick start = dgroup_ports[dg].acquire(at, params.dgroup_occupancy);
     return start + pref.latency(core, dg);
+}
+
+TagPos
+CmpNurapid::posOf(CoreId core, const TagEntry *e) const
+{
+    return TagPos{core, static_cast<int>(tags[core].setOf(e)),
+                  static_cast<int>(tags[core].wayOf(e))};
+}
+
+TagEntry &
+CmpNurapid::tagAt(const TagPos &pos)
+{
+    return tags[pos.core].at(pos.set, pos.way);
+}
+
+const TagEntry &
+CmpNurapid::tagAt(const TagPos &pos) const
+{
+    return tags[pos.core].at(pos.set, pos.way);
 }
 
 CmpNurapid::SnoopResult
@@ -107,7 +116,7 @@ CmpNurapid::snoop(CoreId requestor, Addr addr) const
     SnoopResult sr;
     std::uint64_t peers = bus.snoopPeers(addr, params.num_cores, requestor);
     forEachCore(peers, [&](CoreId o) {
-        const TagEntry *te = tags[o]->find(addr);
+        const TagEntry *te = tags[o].find(addr);
         if (!te)
             return;
         if (isDirty(te->state)) {
@@ -132,7 +141,7 @@ CmpNurapid::framesOf(Addr addr) const
 {
     std::vector<FwdPtr> out;
     forEachCore(bus.snoopPeers(addr, params.num_cores), [&](CoreId c) {
-        const TagEntry *te = tags[c]->find(addr);
+        const TagEntry *te = tags[c].find(addr);
         if (te && te->fwd.valid() &&
             std::find(out.begin(), out.end(), te->fwd) == out.end()) {
             out.push_back(te->fwd);
@@ -147,49 +156,82 @@ CmpNurapid::framesHolding(Addr addr) const
     return data.holding(blockAlign(addr, params.block_size));
 }
 
+AccessResult
+CmpNurapid::countHit(CoreId core, Addr addr, DGroupId dg, Tick td)
+{
+    bool closest = dg == pref.closest(core);
+    emitDGroup(td, core, addr, obs::DGroupOp::Hit, dg, closest);
+    record(AccessClass::Hit);
+    (closest ? n_closest_hits : n_farther_hits).inc();
+    AccessResult res;
+    res.complete = td;
+    res.cls = AccessClass::Hit;
+    return res;
+}
+
+void
+CmpNurapid::dropTag(CoreId core, TagEntry *e, obs::TransCause cause, Tick t)
+{
+    Addr addr = e->addr;
+    // Emit before asserting so an auditing run dies with the block's
+    // event history instead of a bare assert.
+    emitTrans(t, core, addr, e->state, CohState::Invalid, cause,
+              e->busy ? std::uint64_t{obs::trans_flag_busy}
+                      : std::uint64_t{0});
+    cnsim_assert(!e->busy,
+                 "invalidation against a busy tag: the inhibit queue "
+                 "should have deferred it");
+    tags[core].invalidate(e);
+    e->state = CohState::Invalid;
+    invalidateL1(core, addr);
+    // Snoop-driven invalidations are silent on a bus but would strand
+    // this core's sharer bit in a directory.
+    if (bus.wantsEvictionNotices())
+        bus.postedTransaction(BusCmd::DirPut, core, addr, t);
+}
+
+void
+CmpNurapid::invalidatePeers(CoreId core, Addr addr, obs::TransCause cause,
+                            Tick t)
+{
+    std::vector<FwdPtr> old = framesOf(addr);
+    forEachCore(bus.snoopPeers(addr, params.num_cores, core), [&](CoreId o) {
+        if (TagEntry *te = tags[o].find(addr))
+            dropTag(o, te, cause, t);
+    });
+    for (const FwdPtr &f : old)
+        data.free(f.dgroup, f.frame);
+}
+
+void
+CmpNurapid::writeBack(Tick at)
+{
+    memory.writeback(at);
+    bus.postedTransaction(BusCmd::WrBack, at);
+    n_writebacks.inc();
+}
+
 void
 CmpNurapid::evictSharedFrame(const FwdPtr &fwd, Tick at)
 {
     const Frame &f = data.at(fwd.dgroup, fwd.frame);
     cnsim_assert(f.valid, "evicting an invalid shared frame");
     Addr addr = f.addr;
-    const TagEntry &home = tags[f.rev.core]->at(f.rev.set, f.rev.way);
+    const TagEntry &home = tagAt(f.rev);
     cnsim_assert(home.valid && home.addr == addr,
                  "dangling reverse pointer on shared eviction");
-    if (home.state == CohState::Communication) {
-        memory.writeback(at);
-        bus.postedTransaction(BusCmd::WrBack, at);
-        n_writebacks.inc();
-    }
+    if (home.state == CohState::Communication)
+        writeBack(at);
     // BusRepl: every tag copy pointing at this frame drops its entry
     // (sharers that hold their own replica keep it -- their forward
-    // pointer differs).
+    // pointer differs). BusRepl itself must not clear directory
+    // membership, so each dropped copy reports its own departure.
     bus.postedTransaction(BusCmd::BusRepl, at);
     n_bus_repl.inc();
-    trace("BusRepl %llx from dg%d frame %d",
-          static_cast<unsigned long long>(addr), fwd.dgroup, fwd.frame);
     forEachCore(bus.snoopPeers(addr, params.num_cores), [&](CoreId c) {
-        TagEntry *te = tags[c]->find(addr);
-        if (te && te->fwd == fwd) {
-            // Emit before asserting so an auditing run dies with the
-            // block's event history instead of a bare assert.
-            emitTrans(at, c, addr, te->state, CohState::Invalid,
-                      obs::TransCause::BusRepl,
-                      te->busy ? std::uint64_t{obs::trans_flag_busy}
-                               : std::uint64_t{0});
-            cnsim_assert(!te->busy,
-                         "replacement invalidation against a busy tag: the "
-                         "inhibit queue should have deferred it");
-            te->valid = false;
-            te->state = CohState::Invalid;
-            invalidateL1(c, addr);
-            // BusRepl itself must not clear directory membership --
-            // sharers holding their own replica in a different frame
-            // keep valid copies -- so each invalidated tag reports its
-            // own departure.
-            if (bus.wantsEvictionNotices())
-                bus.postedTransaction(BusCmd::DirPut, c, addr, at);
-        }
+        TagEntry *te = tags[c].find(addr);
+        if (te && te->fwd == fwd)
+            dropTag(c, te, obs::TransCause::BusRepl, at);
     });
     emitDGroup(at, f.rev.core, addr, obs::DGroupOp::Eviction, fwd.dgroup);
     data.free(fwd.dgroup, fwd.frame);
@@ -212,7 +254,7 @@ CmpNurapid::evictPrivateBlock(TagEntry *e, CoreId core, Tick at)
     emitDGroup(at, core, e->addr, obs::DGroupOp::Eviction, e->fwd.dgroup);
     data.free(e->fwd.dgroup, e->fwd.frame);
     invalidateL1(core, e->addr);
-    e->valid = false;
+    tags[core].invalidate(e);
     e->state = CohState::Invalid;
     n_private_evictions.inc();
 }
@@ -238,10 +280,7 @@ CmpNurapid::makeFrameAvailable(CoreId core, int start_rank, int stop_rank)
             break;
         if (vidx == invalid_id)
             vidx = cand;
-        const Frame &cf = data.at(dg, cand);
-        const TagEntry &ct =
-            tags[cf.rev.core]->at(cf.rev.set, cf.rev.way);
-        if (isPrivateState(ct.state)) {
+        if (isPrivateState(tagAt(data.at(dg, cand).rev).state)) {
             vidx = cand;
             break;
         }
@@ -249,7 +288,7 @@ CmpNurapid::makeFrameAvailable(CoreId core, int start_rank, int stop_rank)
     cnsim_assert(vidx != invalid_id,
                  "d-group %d has no eligible distance victim", dg);
     const Frame &f = data.at(dg, vidx);
-    TagEntry &rev = tags[f.rev.core]->at(f.rev.set, f.rev.way);
+    TagEntry &rev = tagAt(f.rev);
     cnsim_assert(rev.valid && rev.addr == f.addr &&
                      rev.fwd == (FwdPtr{dg, vidx}),
                  "reverse pointer inconsistency in d-group %d", dg);
@@ -295,43 +334,45 @@ CmpNurapid::placeInClosest(CoreId core, int specific_stop_dg)
     return FwdPtr{pref.closest(core), idx};
 }
 
+FwdPtr
+CmpNurapid::placeAndFill(CoreId core, TagEntry *e, DGroupId stop_dg)
+{
+    FwdPtr nf = placeInClosest(core, stop_dg);
+    data.fill(nf.dgroup, nf.frame, e->addr, posOf(core, e));
+    e->fwd = nf;
+    return nf;
+}
+
 TagEntry *
 CmpNurapid::allocTagEntry(CoreId core, Addr addr, Tick at,
                           DGroupId *freed_dg)
 {
     *freed_dg = invalid_id;
-    TagEntry *v = tags[core]->replacementVictim(addr);
+    TagEntry *v = tags[core].victim(addr, tagRank);
+    if (!v)
+        panic("tag set for %llx has no replaceable entry (all busy)",
+              static_cast<unsigned long long>(addr));
     if (v->valid) {
         if (isPrivateState(v->state)) {
             *freed_dg = v->fwd.dgroup;
             evictPrivateBlock(v, core, at);
+        } else if (data.at(v->fwd.dgroup, v->fwd.frame).rev ==
+                   posOf(core, v)) {
+            // We are the home of this shared copy: the data leaves
+            // with us, and BusRepl tells the other sharers.
+            *freed_dg = v->fwd.dgroup;
+            evictSharedFrame(v->fwd, at);
         } else {
-            const Frame &f = data.at(v->fwd.dgroup, v->fwd.frame);
-            if (f.rev == tags[core]->posOf(v)) {
-                // We are the home of this shared copy: the data leaves
-                // with us, and BusRepl tells the other sharers.
-                *freed_dg = v->fwd.dgroup;
-                evictSharedFrame(v->fwd, at);
-            } else {
-                // Only our tag copy goes; the data stays for the
-                // sharer that owns it.
-                emitTrans(at, core, v->addr, v->state, CohState::Invalid,
-                          obs::TransCause::Replacement);
-                invalidateL1(core, v->addr);
-                v->valid = false;
-                v->state = CohState::Invalid;
-                if (bus.wantsEvictionNotices())
-                    bus.postedTransaction(BusCmd::DirPut, core, v->addr,
-                                          at);
-            }
+            // Only our tag copy goes; the data stays for the sharer
+            // that owns it.
+            dropTag(core, v, obs::TransCause::Replacement, at);
         }
     }
-    v->valid = true;
-    v->addr = blockAlign(addr, params.block_size);
+    tags[core].setTag(v, blockAlign(addr, params.block_size));
     v->state = CohState::Invalid;
     v->fwd = FwdPtr{};
     v->busy = false;
-    tags[core]->touch(v);
+    tags[core].touch(v);
     return v;
 }
 
@@ -349,20 +390,16 @@ CmpNurapid::maybePromote(CoreId core, TagEntry *e, Tick at)
     int target_rank =
         params.promotion == PromotionPolicy::Fastest ? 0 : cur_rank - 1;
 
-    Addr addr = e->addr;
-    TagPos pos = tags[core]->posOf(e);
     // Free the old frame first so the demotion chain can terminate in
     // the slot being vacated (specific-stop distance replacement).
     data.free(e->fwd.dgroup, e->fwd.frame);
     int idx = makeFrameAvailable(core, target_rank, cur_rank);
     DGroupId tdg = pref.order(core)[target_rank];
-    data.fill(tdg, idx, addr, pos);
+    data.fill(tdg, idx, e->addr, posOf(core, e));
     e->fwd = FwdPtr{tdg, idx};
-    emitDGroup(at, core, addr, obs::DGroupOp::Promotion, tdg,
+    emitDGroup(at, core, e->addr, obs::DGroupOp::Promotion, tdg,
                tdg == pref.closest(core));
     n_promotions.inc();
-    trace("promote %llx to dg%d", static_cast<unsigned long long>(addr),
-          tdg);
 }
 
 void
@@ -371,7 +408,7 @@ CmpNurapid::repointAllSharers(Addr addr, const FwdPtr &fwd,
                               obs::TransCause cause, Tick t)
 {
     auto repoint = [&](int c) {
-        TagEntry *te = tags[c]->find(addr);
+        TagEntry *te = tags[c].find(addr);
         if (!te)
             return;
         emitTrans(t, c, addr, te->state, CohState::Communication, cause);
@@ -403,6 +440,33 @@ CmpNurapid::freeOtherFrames(Addr addr, const FwdPtr &keep)
     }
 }
 
+Tick
+CmpNurapid::joinOrReplicate(CoreId core, TagEntry *e, const FwdPtr &src,
+                            DGroupId freed_dg, Tick tb)
+{
+    Tick tr = accessDGroup(core, src.dgroup, tb);
+    if (params.enable_cr &&
+        params.replication != ReplicationPolicy::OnFirstUse) {
+        // Controlled replication returns a pointer on the pointer wires
+        // instead of the data block: a tag copy but no data copy
+        // (Figure 3b).
+        e->fwd = src;
+        emitDGroup(tr, core, e->addr, obs::DGroupOp::PointerJoin, src.dgroup,
+                   src.dgroup == pref.closest(core));
+        n_pointer_joins.inc();
+    } else {
+        // Uncontrolled replication (private-cache behaviour).
+        FwdPtr nf = placeAndFill(core, e, freed_dg);
+        emitDGroup(tr, core, e->addr, obs::DGroupOp::Replication, nf.dgroup,
+                   true);
+        n_replications.inc();
+    }
+    e->state = CohState::Shared;
+    emitTrans(tr, core, e->addr, CohState::Invalid, CohState::Shared,
+              obs::TransCause::Fill);
+    return tr;
+}
+
 AccessResult
 CmpNurapid::access(const MemAccess &acc, Tick at)
 {
@@ -412,38 +476,31 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
     pinned_addr = baddr;
     op_tick = at;
 
-    Tick grant = tag_ports[c]->acquire(at, params.tag_occupancy);
+    Tick grant = tag_ports[c].acquire(at, params.tag_occupancy);
     Tick t = grant + params.tag_latency;
 
     AccessResult res;
-    DGroupId my_closest = pref.closest(c);
 
-    if (TagEntry *e = tags[c]->find(baddr)) {
-        tags[c]->touch(e);
+    if (TagEntry *e = tags[c].find(baddr)) {
+        tags[c].touch(e);
         switch (e->state) {
           case CohState::Exclusive:
           case CohState::Modified: {
-            DGroupId dg = e->fwd.dgroup;
-            Tick td = accessDGroup(c, dg, t);
+            Tick td = accessDGroup(c, e->fwd.dgroup, t);
             if (store) {
                 emitTrans(td, c, baddr, e->state, CohState::Modified,
                           obs::TransCause::PrWr);
                 e->state = CohState::Modified;
             }
-            emitDGroup(td, c, baddr, obs::DGroupOp::Hit, dg,
-                       dg == my_closest);
-            maybePromote(c, e, td);
-            record(AccessClass::Hit);
-            (dg == my_closest ? n_closest_hits : n_farther_hits).inc();
-            res.complete = td;
-            res.cls = AccessClass::Hit;
+            res = countHit(c, baddr, e->fwd.dgroup, td);
             res.l1Owned = true;
+            maybePromote(c, e, td);
             break;
           }
-          case CohState::Shared: {
+          case CohState::Shared:
             if (!store) {
                 DGroupId dg = e->fwd.dgroup;
-                bool remote = dg != my_closest;
+                bool remote = dg != pref.closest(c);
                 if (remote)
                     e->busy = true;  // inhibit BusRepl during the read
                 Tick td = accessDGroup(c, dg, t);
@@ -455,11 +512,8 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                     // d-group (Figure 3c).
                     FwdPtr old = e->fwd;
                     bool was_home =
-                        data.at(old.dgroup, old.frame).rev ==
-                        tags[c]->posOf(e);
-                    FwdPtr nf = placeInClosest(c, invalid_id);
-                    data.fill(nf.dgroup, nf.frame, baddr, tags[c]->posOf(e));
-                    e->fwd = nf;
+                        data.at(old.dgroup, old.frame).rev == posOf(c, e);
+                    FwdPtr nf = placeAndFill(c, e, invalid_id);
                     emitDGroup(td, c, baddr, obs::DGroupOp::Replication,
                                nf.dgroup, true);
                     n_replications.inc();
@@ -471,26 +525,16 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                         // letting BusRepl clean up other pointers.
                         evictSharedFrame(old, op_tick);
                     }
-                    trace("replicate %llx into dg%d",
-                          static_cast<unsigned long long>(baddr),
-                          nf.dgroup);
                 }
-                emitDGroup(td, c, baddr, obs::DGroupOp::Hit, dg,
-                           dg == my_closest);
-                record(AccessClass::Hit);
-                (dg == my_closest ? n_closest_hits : n_farther_hits).inc();
-                res.complete = td;
-                res.cls = AccessClass::Hit;
+                res = countHit(c, baddr, dg, td);
             } else {
                 // Write to a clean shared block: BusUpg.
                 Tick tb = bus.transaction(BusCmd::BusUpg, c, baddr, t);
-                std::uint64_t peers =
-                    bus.snoopPeers(baddr, params.num_cores, c);
                 bool others = false;
-                forEachCore(peers, [&](CoreId o) {
-                    others = others || tags[o]->find(baddr) != nullptr;
-                });
-
+                forEachCore(bus.snoopPeers(baddr, params.num_cores, c),
+                            [&](CoreId o) {
+                                others = others || tags[o].find(baddr);
+                            });
                 if (others && params.enable_isc) {
                     // In-situ communication: one dirty copy (ours),
                     // every sharer joins C pointing at it.
@@ -499,86 +543,43 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                     repointAllSharers(baddr, keep, c, true,
                                       obs::TransCause::BusUpg, tb);
                     Tick td = accessDGroup(c, keep.dgroup, tb);
-                    emitDGroup(td, c, baddr, obs::DGroupOp::Hit,
-                               keep.dgroup, keep.dgroup == my_closest);
-                    record(AccessClass::Hit);
-                    (keep.dgroup == my_closest ? n_closest_hits
-                                               : n_farther_hits)
-                        .inc();
-                    res.complete = td;
-                    res.cls = AccessClass::Hit;
+                    res = countHit(c, baddr, keep.dgroup, td);
                     res.l1WriteThrough = true;
-                    trace("BusUpg %llx -> C",
-                          static_cast<unsigned long long>(baddr));
                 } else {
                     // MESI-style upgrade (no other sharers, or ISC
                     // disabled): we become the sole M copy in our
                     // closest d-group.
-                    std::vector<FwdPtr> old = framesOf(baddr);
-                    forEachCore(peers, [&](CoreId o) {
-                        if (TagEntry *te = tags[o]->find(baddr)) {
-                            emitTrans(tb, o, baddr, te->state,
-                                      CohState::Invalid,
-                                      obs::TransCause::BusUpg);
-                            te->valid = false;
-                            te->state = CohState::Invalid;
-                            invalidateL1(o, baddr);
-                            if (bus.wantsEvictionNotices())
-                                bus.postedTransaction(BusCmd::DirPut, o,
-                                                      baddr, tb);
-                        }
-                    });
-                    for (const FwdPtr &f : old)
-                        data.free(f.dgroup, f.frame);
-                    FwdPtr nf = placeInClosest(c, invalid_id);
-                    data.fill(nf.dgroup, nf.frame, baddr, tags[c]->posOf(e));
-                    e->fwd = nf;
+                    invalidatePeers(c, baddr, obs::TransCause::BusUpg, tb);
+                    FwdPtr nf = placeAndFill(c, e, invalid_id);
                     emitTrans(tb, c, baddr, e->state, CohState::Modified,
                               obs::TransCause::PrWr);
                     e->state = CohState::Modified;
                     Tick td = accessDGroup(c, nf.dgroup, tb);
-                    emitDGroup(td, c, baddr, obs::DGroupOp::Hit, nf.dgroup,
-                               nf.dgroup == my_closest);
-                    record(AccessClass::Hit);
-                    (nf.dgroup == my_closest ? n_closest_hits
-                                             : n_farther_hits)
-                        .inc();
-                    res.complete = td;
-                    res.cls = AccessClass::Hit;
+                    res = countHit(c, baddr, nf.dgroup, td);
                     res.l1Owned = true;
                 }
             }
             break;
-          }
           case CohState::Communication: {
             cnsim_assert(params.enable_isc, "C state with ISC disabled");
-            DGroupId dg = e->fwd.dgroup;
-            Tick td;
+            Tick ta = t;
             if (store) {
                 // Every write to a C block broadcasts BusRdX so the
                 // other sharers drop stale L1 copies; the L2 state does
                 // not change (no exits from C).
-                Tick tb = bus.transaction(BusCmd::BusRdX, c, baddr, t);
+                ta = bus.transaction(BusCmd::BusRdX, c, baddr, t);
                 n_c_writes.inc();
-                emitTrans(tb, c, baddr, CohState::Communication,
+                emitTrans(ta, c, baddr, CohState::Communication,
                           CohState::Communication, obs::TransCause::PrWr,
                           obs::trans_flag_broadcast);
-                std::uint64_t peers =
-                    bus.snoopPeers(baddr, params.num_cores, c);
-                forEachCore(peers, [&](CoreId o) {
-                    if (tags[o]->find(baddr))
-                        invalidateL1(o, baddr);
-                });
-                td = accessDGroup(c, dg, tb);
-            } else {
-                td = accessDGroup(c, dg, t);
+                forEachCore(bus.snoopPeers(baddr, params.num_cores, c),
+                            [&](CoreId o) {
+                                if (tags[o].find(baddr))
+                                    invalidateL1(o, baddr);
+                            });
             }
-            emitDGroup(td, c, baddr, obs::DGroupOp::Hit, dg,
-                       dg == my_closest);
-            record(AccessClass::Hit);
-            (dg == my_closest ? n_closest_hits : n_farther_hits).inc();
-            res.complete = td;
-            res.cls = AccessClass::Hit;
+            Tick td = accessDGroup(c, e->fwd.dgroup, ta);
+            res = countHit(c, baddr, e->fwd.dgroup, td);
             res.l1WriteThrough = true;
             break;
           }
@@ -599,179 +600,95 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
 
     DGroupId freed_dg = invalid_id;
     TagEntry *e = allocTagEntry(c, baddr, tb, &freed_dg);
-    TagPos my_pos = tags[c]->posOf(e);
 
-    if (!store) {
-        if (sr.dirty && params.enable_isc) {
-            // ISC join on a read miss: the reader gets a copy in its
-            // closest d-group, the previous dirty frame is freed, and
-            // every sharer (old owner included) enters C pointing at
-            // the new copy.
-            FwdPtr old = sr.supplier_fwd;
-            Tick tr = accessDGroup(c, old.dgroup, tb);
-            n_isc_joins.inc();
-            if (old.dgroup == my_closest) {
-                // Already as close as it gets: join in place. The
-                // repoint moves our fresh Invalid tag (and every
-                // sharer) to C, so no state pre-assignment here.
-                repointAllSharers(baddr, old, c, false,
-                                  obs::TransCause::BusRd, tr);
-                emitDGroup(tr, c, baddr, obs::DGroupOp::PointerJoin,
-                           old.dgroup, true);
-            } else {
-                FwdPtr nf = placeInClosest(c, freed_dg);
-                data.fill(nf.dgroup, nf.frame, baddr, my_pos);
-                freeOtherFrames(baddr, nf);
-                repointAllSharers(baddr, nf, c, false,
-                                  obs::TransCause::BusRd, tr);
-                emitDGroup(tr, c, baddr, obs::DGroupOp::Replication,
-                           nf.dgroup, true);
-            }
-            res.complete = tr;
-            res.l1WriteThrough = true;
-            trace("ISC read join %llx",
-                  static_cast<unsigned long long>(baddr));
-        } else if (sr.dirty) {
-            // ISC disabled: MESI flush. The owner writes back and
-            // drops to S, keeping its frame; we then treat the block
-            // as clean-shared below.
-            TagEntry *owner = tags[sr.supplier]->find(baddr);
-            cnsim_assert(owner && owner->state == CohState::Modified,
-                         "dirty snoop without an M owner (ISC off)");
-            memory.writeback(tb);
-            bus.postedTransaction(BusCmd::WrBack, tb);
-            n_writebacks.inc();
-            emitTrans(tb, sr.supplier, baddr, owner->state,
-                      CohState::Shared, obs::TransCause::BusRd);
-            owner->state = CohState::Shared;
-            downgradeL1(sr.supplier, baddr, false);
-            Tick tr = accessDGroup(c, owner->fwd.dgroup, tb);
-            if (params.enable_cr &&
-                params.replication != ReplicationPolicy::OnFirstUse) {
-                e->state = CohState::Shared;
-                e->fwd = owner->fwd;
-                emitDGroup(tr, c, baddr, obs::DGroupOp::PointerJoin,
-                           e->fwd.dgroup, e->fwd.dgroup == my_closest);
-                n_pointer_joins.inc();
-            } else {
-                FwdPtr nf = placeInClosest(c, freed_dg);
-                data.fill(nf.dgroup, nf.frame, baddr, my_pos);
-                e->state = CohState::Shared;
-                e->fwd = nf;
-                emitDGroup(tr, c, baddr, obs::DGroupOp::Replication,
-                           nf.dgroup, true);
-            }
-            emitTrans(tr, c, baddr, CohState::Invalid, CohState::Shared,
-                      obs::TransCause::Fill);
-            res.complete = tr;
-        } else if (sr.clean) {
-            // Clean copy on chip: controlled replication returns a
-            // pointer on the pointer wires instead of the data block;
-            // we make a tag copy but no data copy (Figure 3b).
-            std::uint64_t peers = bus.snoopPeers(baddr, params.num_cores, c);
-            forEachCore(peers, [&](CoreId o) {
-                TagEntry *te = tags[o]->find(baddr);
-                if (te && te->state == CohState::Exclusive) {
-                    emitTrans(tb, o, baddr, CohState::Exclusive,
-                              CohState::Shared, obs::TransCause::BusRd);
-                    te->state = CohState::Shared;
-                }
-            });
-            Tick tr = accessDGroup(c, sr.supplier_fwd.dgroup, tb);
-            if (params.enable_cr &&
-                params.replication != ReplicationPolicy::OnFirstUse) {
-                e->state = CohState::Shared;
-                e->fwd = sr.supplier_fwd;
-                emitDGroup(tr, c, baddr, obs::DGroupOp::PointerJoin,
-                           e->fwd.dgroup, e->fwd.dgroup == my_closest);
-                n_pointer_joins.inc();
-                trace("CR pointer join %llx -> dg%d",
-                      static_cast<unsigned long long>(baddr),
-                      e->fwd.dgroup);
-            } else {
-                // Uncontrolled replication (private-cache behaviour).
-                FwdPtr nf = placeInClosest(c, freed_dg);
-                data.fill(nf.dgroup, nf.frame, baddr, my_pos);
-                e->state = CohState::Shared;
-                e->fwd = nf;
-                emitDGroup(tr, c, baddr, obs::DGroupOp::Replication,
-                           nf.dgroup, true);
-                n_replications.inc();
-            }
-            emitTrans(tr, c, baddr, CohState::Invalid, CohState::Shared,
-                      obs::TransCause::Fill);
-            res.complete = tr;
+    if (!sr.dirty && !sr.clean) {
+        // Off-chip: fill from memory into our closest d-group, E on a
+        // read and M on a write.
+        Tick tm = memory.read(tb);
+        placeAndFill(c, e, freed_dg);
+        CohState news = store ? CohState::Modified : CohState::Exclusive;
+        e->state = news;
+        emitTrans(tm, c, baddr, CohState::Invalid, news,
+                  obs::TransCause::Fill);
+        res.complete = tm;
+        res.l1Owned = store;
+    } else if (sr.dirty && params.enable_isc && !store) {
+        // ISC join on a read miss: the reader gets a copy in its
+        // closest d-group, the previous dirty frame is freed, and every
+        // sharer (old owner included) enters C pointing at the new copy.
+        FwdPtr old = sr.supplier_fwd;
+        Tick tr = accessDGroup(c, old.dgroup, tb);
+        n_isc_joins.inc();
+        if (old.dgroup == pref.closest(c)) {
+            // Already as close as it gets: join in place. The repoint
+            // moves our fresh Invalid tag (and every sharer) to C, so no
+            // state pre-assignment here.
+            repointAllSharers(baddr, old, c, false, obs::TransCause::BusRd,
+                              tr);
+            emitDGroup(tr, c, baddr, obs::DGroupOp::PointerJoin, old.dgroup,
+                       true);
         } else {
-            // Off-chip: fill from memory into our closest d-group, E.
-            Tick tm = memory.read(tb);
-            FwdPtr nf = placeInClosest(c, freed_dg);
-            data.fill(nf.dgroup, nf.frame, baddr, my_pos);
-            e->state = CohState::Exclusive;
-            e->fwd = nf;
-            emitTrans(tm, c, baddr, CohState::Invalid,
-                      CohState::Exclusive, obs::TransCause::Fill);
-            res.complete = tm;
+            FwdPtr nf = placeAndFill(c, e, freed_dg);
+            freeOtherFrames(baddr, nf);
+            repointAllSharers(baddr, nf, c, false, obs::TransCause::BusRd,
+                              tr);
+            emitDGroup(tr, c, baddr, obs::DGroupOp::Replication, nf.dgroup,
+                       true);
         }
+        res.complete = tr;
+        res.l1WriteThrough = true;
+    } else if (sr.dirty && params.enable_isc) {
+        // ISC join on a write miss: the writer does *not* copy; it joins
+        // C pointing at the existing copy, which stays close to the
+        // reader(s) (Section 3.2).
+        FwdPtr keep = sr.supplier_fwd;
+        repointAllSharers(baddr, keep, c, true, obs::TransCause::BusRdX, tb);
+        Tick tw = accessDGroup(c, keep.dgroup, tb);
+        emitDGroup(tw, c, baddr, obs::DGroupOp::PointerJoin, keep.dgroup,
+                   keep.dgroup == pref.closest(c));
+        n_isc_joins.inc();
+        res.complete = tw;
+        res.l1WriteThrough = true;
+    } else if (store) {
+        // MESI write miss with on-chip copies: invalidate them all and
+        // take the block M into our closest d-group.
+        Tick tr = accessDGroup(c, sr.supplier_fwd.dgroup, tb);
+        if (sr.dirty)
+            writeBack(tb);
+        invalidatePeers(c, baddr, obs::TransCause::BusRdX, tb);
+        placeAndFill(c, e, freed_dg);
+        e->state = CohState::Modified;
+        emitTrans(tr, c, baddr, CohState::Invalid, CohState::Modified,
+                  obs::TransCause::Fill);
+        res.complete = tr;
+        res.l1Owned = true;
+    } else if (sr.dirty) {
+        // ISC disabled: MESI flush. The owner writes back and drops to
+        // S, keeping its frame; we then join or copy it as a clean
+        // shared block.
+        TagEntry *owner = tags[sr.supplier].find(baddr);
+        cnsim_assert(owner && owner->state == CohState::Modified,
+                     "dirty snoop without an M owner (ISC off)");
+        writeBack(tb);
+        emitTrans(tb, sr.supplier, baddr, owner->state, CohState::Shared,
+                  obs::TransCause::BusRd);
+        owner->state = CohState::Shared;
+        downgradeL1(sr.supplier, baddr, false);
+        res.complete = joinOrReplicate(c, e, owner->fwd, freed_dg, tb);
     } else {
-        if (sr.dirty && params.enable_isc) {
-            // ISC join on a write miss: the writer does *not* copy; it
-            // joins C pointing at the existing copy, which stays close
-            // to the reader(s) (Section 3.2).
-            FwdPtr keep = sr.supplier_fwd;
-            repointAllSharers(baddr, keep, c, true,
-                              obs::TransCause::BusRdX, tb);
-            Tick tw = accessDGroup(c, keep.dgroup, tb);
-            emitDGroup(tw, c, baddr, obs::DGroupOp::PointerJoin,
-                       keep.dgroup, keep.dgroup == my_closest);
-            n_isc_joins.inc();
-            res.complete = tw;
-            res.l1WriteThrough = true;
-            trace("ISC write join %llx",
-                  static_cast<unsigned long long>(baddr));
-        } else if (sr.dirty || sr.clean) {
-            // MESI write miss with on-chip copies: invalidate them all
-            // and take the block M into our closest d-group.
-            Tick tr = accessDGroup(c, sr.supplier_fwd.dgroup, tb);
-            if (sr.dirty) {
-                memory.writeback(tb);
-                bus.postedTransaction(BusCmd::WrBack, tb);
-                n_writebacks.inc();
-            }
-            std::vector<FwdPtr> old = framesOf(baddr);
-            std::uint64_t peers = bus.snoopPeers(baddr, params.num_cores, c);
-            forEachCore(peers, [&](CoreId o) {
-                if (TagEntry *te = tags[o]->find(baddr)) {
-                    emitTrans(tb, o, baddr, te->state, CohState::Invalid,
-                              obs::TransCause::BusRdX);
-                    te->valid = false;
-                    te->state = CohState::Invalid;
-                    invalidateL1(o, baddr);
-                    if (bus.wantsEvictionNotices())
-                        bus.postedTransaction(BusCmd::DirPut, o, baddr,
-                                              tb);
-                }
-            });
-            for (const FwdPtr &f : old)
-                data.free(f.dgroup, f.frame);
-            FwdPtr nf = placeInClosest(c, freed_dg);
-            data.fill(nf.dgroup, nf.frame, baddr, my_pos);
-            e->state = CohState::Modified;
-            e->fwd = nf;
-            emitTrans(tr, c, baddr, CohState::Invalid, CohState::Modified,
-                      obs::TransCause::Fill);
-            res.complete = tr;
-            res.l1Owned = true;
-        } else {
-            Tick tm = memory.read(tb);
-            FwdPtr nf = placeInClosest(c, freed_dg);
-            data.fill(nf.dgroup, nf.frame, baddr, my_pos);
-            e->state = CohState::Modified;
-            e->fwd = nf;
-            emitTrans(tm, c, baddr, CohState::Invalid, CohState::Modified,
-                      obs::TransCause::Fill);
-            res.complete = tm;
-            res.l1Owned = true;
-        }
+        // Clean copy on chip: every E copy drops to S, and we join or
+        // copy it.
+        forEachCore(bus.snoopPeers(baddr, params.num_cores, c),
+                    [&](CoreId o) {
+                        TagEntry *te = tags[o].find(baddr);
+                        if (te && te->state == CohState::Exclusive) {
+                            emitTrans(tb, o, baddr, CohState::Exclusive,
+                                      CohState::Shared,
+                                      obs::TransCause::BusRd);
+                            te->state = CohState::Shared;
+                        }
+                    });
+        res.complete = joinOrReplicate(c, e, sr.supplier_fwd, freed_dg, tb);
     }
 
     record(cls);
@@ -783,14 +700,14 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
 CohState
 CmpNurapid::stateOf(CoreId core, Addr addr) const
 {
-    const TagEntry *e = tags[core]->find(addr);
+    const TagEntry *e = tags[core].find(addr);
     return e ? e->state : CohState::Invalid;
 }
 
 FwdPtr
 CmpNurapid::fwdOf(CoreId core, Addr addr) const
 {
-    const TagEntry *e = tags[core]->find(addr);
+    const TagEntry *e = tags[core].find(addr);
     return e ? e->fwd : FwdPtr{};
 }
 
@@ -807,7 +724,7 @@ CmpNurapid::checkInvariants() const
     // 1. Every valid tag's forward pointer names a valid frame holding
     //    the same block.
     for (int c = 0; c < params.num_cores; ++c) {
-        for (const auto &e : tags[c]->raw()) {
+        for (const auto &e : tags[c].raw()) {
             if (!e.valid)
                 continue;
             cnsim_assert(isValid(e.state), "valid tag in state I");
@@ -827,8 +744,7 @@ CmpNurapid::checkInvariants() const
             if (!f.valid)
                 continue;
             cnsim_assert(f.rev.valid(), "frame without reverse pointer");
-            const TagEntry &te =
-                tags[f.rev.core]->at(f.rev.set, f.rev.way);
+            const TagEntry &te = tagAt(f.rev);
             cnsim_assert(te.valid && te.addr == f.addr,
                          "reverse pointer of dg%d frame %d dangles", g, i);
             cnsim_assert(te.fwd == (FwdPtr{g, i}),
@@ -852,7 +768,7 @@ CmpNurapid::checkInvariants() const
     };
     FlatMap<Addr, BlockAgg> agg;
     for (int c = 0; c < params.num_cores; ++c) {
-        for (const auto &e : tags[c]->raw()) {
+        for (const auto &e : tags[c].raw()) {
             if (!e.valid)
                 continue;
             BlockAgg &a = agg[e.addr];
@@ -909,7 +825,7 @@ CmpNurapid::checkBlockInvariants(Addr addr) const
     int priv_copies = 0;
     bool dirty = false;
     for (int c = 0; c < params.num_cores; ++c) {
-        const TagEntry *te = tags[c]->find(baddr);
+        const TagEntry *te = tags[c].find(baddr);
         if (!te)
             continue;
         ++tag_copies;
@@ -924,7 +840,7 @@ CmpNurapid::checkBlockInvariants(Addr addr) const
         cnsim_assert(f.valid && f.addr == baddr,
                      "forward pointer of %llx dangles",
                      static_cast<unsigned long long>(baddr));
-        const TagEntry &home = tags[f.rev.core]->at(f.rev.set, f.rev.way);
+        const TagEntry &home = tagAt(f.rev);
         cnsim_assert(home.valid && home.addr == baddr &&
                          home.fwd == te->fwd,
                      "reverse pointer of %llx disagrees with its frame",
@@ -966,13 +882,14 @@ CmpNurapid::setTraceSink(obs::TraceSink *s)
     for (int c = 0; c < params.num_cores; ++c) {
         core_tracks.push_back(
             s->registerComponent(strfmt("l2.%s.core%d.tag", k.c_str(), c)));
-        tag_ports[c]->attachSink(
+        tag_ports[c].attachSink(
             s, strfmt("l2.%s.core%d.tagPort", k.c_str(), c));
     }
     for (int g = 0; g < params.num_dgroups; ++g)
         dg_tracks.push_back(
             s->registerComponent(strfmt("l2.%s.dg%d", k.c_str(), g)));
-    xbar.attachSink(s);
+    for (int g = 0; g < params.num_dgroups; ++g)
+        dgroup_ports[g].attachSink(s, strfmt("l2.xbar.dg%d", g));
 }
 
 void
@@ -1005,9 +922,12 @@ CmpNurapid::regStats(StatGroup &group)
                      "private (E/M) blocks evicted from the cache");
     group.addCounter("l2.chainStopEvictions", &n_chain_stop_evictions,
                      "evictions forced by demotion-chain termination");
-    for (auto &p : tag_ports)
-        p->regStats(group);
-    xbar.regStats(group);
+    for (Resource &p : tag_ports)
+        p.regStats(group);
+    group.addCounter("xbar.accesses", &n_xbar_accesses,
+                     "crossbar traversals");
+    for (Resource &p : dgroup_ports)
+        p.regStats(group);
 }
 
 void
@@ -1027,20 +947,59 @@ CmpNurapid::resetStats()
     n_c_writes.reset();
     n_private_evictions.reset();
     n_chain_stop_evictions.reset();
-    for (auto &p : tag_ports)
-        p->reset();
-    xbar.resetStats();
+    n_xbar_accesses.reset();
+    for (Resource &p : tag_ports)
+        p.reset();
+    for (Resource &p : dgroup_ports)
+        p.reset();
+}
+
+void
+CmpNurapid::saveTag(ByteWriter &w, const TagEntry &e)
+{
+    w.u64(e.addr);
+    w.u8(static_cast<std::uint8_t>((e.valid ? 1 : 0) | (e.busy ? 2 : 0)));
+    w.u8(static_cast<std::uint8_t>(e.state));
+    w.u32(static_cast<std::uint32_t>(e.fwd.dgroup));
+    w.u32(static_cast<std::uint32_t>(e.fwd.frame));
+}
+
+void
+CmpNurapid::loadTag(ByteReader &r, TagEntry &e) const
+{
+    e.addr = r.u64();
+    std::uint8_t flags = r.u8();
+    e.valid = flags & 1;
+    e.busy = flags & 2;
+    std::uint8_t state = r.u8();
+    if (state > static_cast<std::uint8_t>(CohState::Communication))
+        r.fail("NuRAPID tag state %u is not I, S, E, M or C",
+               unsigned{state});
+    e.state = static_cast<CohState>(state);
+    e.fwd.dgroup = static_cast<DGroupId>(static_cast<std::int32_t>(r.u32()));
+    e.fwd.frame = static_cast<int>(static_cast<std::int32_t>(r.u32()));
+    // A valid tag's forward pointer indexes the data array unchecked;
+    // an invalid one's is never read.
+    unsigned frames = data.framesPerDGroup();
+    if (e.valid &&
+        (e.fwd.dgroup < 0 || e.fwd.dgroup >= data.numDGroups() ||
+         e.fwd.frame < 0 || static_cast<unsigned>(e.fwd.frame) >= frames))
+        r.fail("NuRAPID tag of %llx points at frame %d of d-group %d, off "
+               "this run's %d d-groups x %u frames",
+               static_cast<unsigned long long>(e.addr), e.fwd.frame,
+               e.fwd.dgroup, data.numDGroups(), frames);
 }
 
 void
 CmpNurapid::saveState(ByteWriter &w) const
 {
     for (const auto &t : tags)
-        t->saveState(w);
+        t.saveState(w, saveTag);
     data.saveState(w);
-    for (const auto &p : tag_ports)
-        p->saveState(w);
-    xbar.saveState(w);
+    for (const Resource &p : tag_ports)
+        p.saveState(w);
+    for (const Resource &p : dgroup_ports)
+        p.saveState(w);
     // The RNG drives random distance replacement; its position is
     // architectural state for bit-identical resume.
     w.u64(rng.stateWord());
@@ -1053,11 +1012,13 @@ void
 CmpNurapid::loadState(ByteReader &r)
 {
     for (auto &t : tags)
-        t->loadState(r);
-    data.loadState(r);
-    for (auto &p : tag_ports)
-        p->loadState(r);
-    xbar.loadState(r);
+        t.loadState(r,
+                    [this](ByteReader &in, TagEntry &e) { loadTag(in, e); });
+    data.loadState(r, params.num_cores, tags[0].numSets(), tags[0].assoc());
+    for (Resource &p : tag_ports)
+        p.loadState(r);
+    for (Resource &p : dgroup_ports)
+        p.loadState(r);
     std::uint64_t state_word = r.u64();
     std::uint64_t inc_word = r.u64();
     rng.restoreState(state_word, inc_word);

@@ -38,20 +38,18 @@
 #define CNSIM_NURAPID_CMP_NURAPID_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "cache/set_assoc.hh"
 #include "common/rng.hh"
 #include "l2/l2_org.hh"
-#include "mem/crossbar.hh"
 #include "mem/interconnect.hh"
 #include "mem/memory.hh"
 #include "mem/resource.hh"
 #include "nurapid/data_array.hh"
 #include "nurapid/pref_table.hh"
-#include "nurapid/tag_array.hh"
+#include "nurapid/tag_entry.hh"
 #include "obs/event.hh"
 
 namespace cnsim
@@ -166,13 +164,6 @@ class CmpNurapid : public L2Org
         return n;
     }
 
-    /**
-     * Optional protocol trace hook: invoked with a short description of
-     * every coherence-visible action (used by the protocol_trace
-     * example). Null by default; the hot path only formats when set.
-     */
-    std::function<void(const std::string &)> traceHook;
-
   private:
     /** Result of snooping the other tag arrays for a block (those
      *  the interconnect's snoopTargets() names). */
@@ -186,8 +177,60 @@ class CmpNurapid : public L2Org
 
     SnoopResult snoop(CoreId requestor, Addr addr) const;
 
-    /** Latency-composed access to a d-group through the crossbar. */
+    /**
+     * Latency-composed access to a d-group through the crossbar: the
+     * single-ported d-group serializes its accesses, different d-groups
+     * proceed in parallel.
+     */
     Tick accessDGroup(CoreId core, DGroupId dg, Tick at);
+
+    /** Position of @p core's tag entry @p e, for a reverse pointer. */
+    [[nodiscard]] TagPos posOf(CoreId core, const TagEntry *e) const;
+
+    /** The tag entry a reverse pointer names. */
+    TagEntry &tagAt(const TagPos &pos);
+    const TagEntry &tagAt(const TagPos &pos) const;
+
+    /**
+     * Count a hit of @p core on @p addr serviced by d-group @p dg at
+     * @p td: its d-group event, its class and its closest/farther
+     * split. @return the hit's result, complete at @p td.
+     */
+    AccessResult countHit(CoreId core, Addr addr, DGroupId dg, Tick td);
+
+    /**
+     * Drop @p core's tag copy @p e at @p t: emit its transition to I
+     * (@p cause), invalidate it and the core's L1 blocks, and tell a
+     * directory the core left. The data frame is the caller's.
+     */
+    void dropTag(CoreId core, TagEntry *e, obs::TransCause cause, Tick t);
+
+    /**
+     * Drop every tag copy of @p addr but @p core's (@p cause, at @p t)
+     * and free every frame holding it, @p core's own included.
+     */
+    void invalidatePeers(CoreId core, Addr addr, obs::TransCause cause,
+                         Tick t);
+
+    /**
+     * Place a new copy of @p e's block in @p core's closest d-group
+     * (@p stop_dg as for placeInClosest), fill it with a reverse
+     * pointer to @p e and point @p e at it.
+     */
+    FwdPtr placeAndFill(CoreId core, TagEntry *e, DGroupId stop_dg);
+
+    /**
+     * Read miss of @p core on a clean copy at @p src (controlled
+     * replication): join it by pointer, or, with CR off or replication
+     * on first use, replicate it into the closest d-group (@p freed_dg
+     * as for placeInClosest). Either way @p e enters S. @return the
+     * tick the data arrives.
+     */
+    Tick joinOrReplicate(CoreId core, TagEntry *e, const FwdPtr &src,
+                         DGroupId freed_dg, Tick tb);
+
+    /** Write a dirty block back to memory at @p at. */
+    void writeBack(Tick at);
 
     /**
      * Ensure a free frame exists in core's preference-order d-group
@@ -200,7 +243,9 @@ class CmpNurapid : public L2Org
      */
     int makeFrameAvailable(CoreId core, int start_rank, int stop_rank);
 
-    /** Allocate a frame in @p core's closest d-group (placement). */
+    /** Allocate a frame in @p core's closest d-group (placement). A
+     *  demotion chain this starts stops at @p specific_stop_dg, or at a
+     *  random d-group when that is invalid_id. */
     FwdPtr placeInClosest(CoreId core, int specific_stop_dg);
 
     /**
@@ -242,7 +287,10 @@ class CmpNurapid : public L2Org
     /** Collect the distinct frames holding @p addr via the tag copies. */
     std::vector<FwdPtr> framesOf(Addr addr) const;
 
-    void trace(const char *fmt, ...) __attribute__((format(printf, 2, 3)));
+    /** Checkpoint codec of one tag entry; the loader rejects a state
+     *  outside I..C and a forward pointer off the data array. */
+    static void saveTag(ByteWriter &w, const TagEntry &e);
+    void loadTag(ByteReader &r, TagEntry &e) const;
 
     /** Emit a MESIC transition on @p core's tag track. */
     void emitTrans(Tick t, CoreId core, Addr addr, CohState olds,
@@ -257,10 +305,12 @@ class CmpNurapid : public L2Org
     Interconnect &bus;
     MainMemory &memory;
     PrefTable pref;
-    Crossbar xbar;
     NuDataArray data;
-    std::vector<std::unique_ptr<NuTagArray>> tags;
-    std::vector<std::unique_ptr<Resource>> tag_ports;
+    std::vector<SetAssocArray<TagEntry>> tags;
+    /** One port per core's tag array and per d-group (the crossbar's
+     *  endpoints); each is single-ported and unpipelined. */
+    std::vector<Resource> tag_ports;
+    std::vector<Resource> dgroup_ports;
     std::vector<int> core_tracks;
     std::vector<int> dg_tracks;
     Rng rng;
@@ -282,6 +332,7 @@ class CmpNurapid : public L2Org
     Counter n_c_writes;
     Counter n_private_evictions;
     Counter n_chain_stop_evictions;
+    Counter n_xbar_accesses;
 };
 
 } // namespace cnsim

@@ -156,7 +156,8 @@ NuDataArray::saveState(ByteWriter &w) const
 }
 
 void
-NuDataArray::loadState(ByteReader &r)
+NuDataArray::loadState(ByteReader &r, int num_cores, unsigned tag_sets,
+                       unsigned tag_ways)
 {
     std::uint32_t dgs = r.u32();
     std::uint32_t fp = r.u32();
@@ -173,31 +174,44 @@ NuDataArray::loadState(ByteReader &r)
                 static_cast<CoreId>(static_cast<std::int32_t>(r.u32()));
             f.rev.set = static_cast<int>(static_cast<std::int32_t>(r.u32()));
             f.rev.way = static_cast<int>(static_cast<std::int32_t>(r.u32()));
-            cnsim_assert(!f.valid || f.rev.valid(),
-                         "checkpoint frame of %llx in d-group %d has no "
-                         "reverse pointer",
-                         static_cast<unsigned long long>(f.addr), g);
             n_invalid += !f.valid;
+            if (!f.valid)
+                continue;
+            if (!f.rev.valid())
+                r.fail("NuRAPID frame of %llx in d-group %d has no reverse "
+                       "pointer",
+                       static_cast<unsigned long long>(f.addr), g);
+            // The reverse pointer indexes the tag arrays unchecked.
+            if (f.rev.core < 0 || f.rev.core >= num_cores ||
+                f.rev.set < 0 ||
+                static_cast<unsigned>(f.rev.set) >= tag_sets ||
+                f.rev.way < 0 || static_cast<unsigned>(f.rev.way) >= tag_ways)
+                r.fail("NuRAPID frame of %llx in d-group %d points at tag "
+                       "(core %d, set %d, way %d), off this run's %d cores "
+                       "x %u sets x %u ways",
+                       static_cast<unsigned long long>(f.addr), g,
+                       f.rev.core, f.rev.set, f.rev.way, num_cores,
+                       tag_sets, tag_ways);
         }
         // The free list must name every invalid frame exactly once:
         // allocate() pops it unchecked.
         std::uint32_t n_free = r.u32();
-        cnsim_assert(n_free == n_invalid,
-                     "checkpoint d-group %d lists %u free frames but has "
-                     "%u invalid ones",
-                     g, n_free, n_invalid);
+        if (n_free != n_invalid)
+            r.fail("NuRAPID d-group %d lists %u free frames but has %u "
+                   "invalid ones",
+                   g, n_free, n_invalid);
         std::vector<bool> listed(frames_per, false);
         free_list[g].clear();
         for (std::uint32_t i = 0; i < n_free; ++i) {
             std::uint32_t idx = r.u32();
-            cnsim_assert(idx < frames_per,
-                         "checkpoint free-list index %u out of range in "
-                         "d-group %d",
-                         idx, g);
-            cnsim_assert(!frames[g][idx].valid && !listed[idx],
-                         "checkpoint free list of d-group %d names %s "
-                         "frame %u",
-                         g, listed[idx] ? "a repeated" : "a valid", idx);
+            if (idx >= frames_per)
+                r.fail("NuRAPID free-list index %u out of range in "
+                       "d-group %d",
+                       idx, g);
+            if (frames[g][idx].valid || listed[idx])
+                r.fail("NuRAPID free list of d-group %d names %s frame "
+                       "%u",
+                       g, listed[idx] ? "a repeated" : "a valid", idx);
             listed[idx] = true;
             free_list[g].push_back(static_cast<int>(idx));
         }

@@ -23,10 +23,13 @@
 #include "common/flat_map.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
-#include "nurapid/tag_array.hh"
+#include "nurapid/tag_entry.hh"
 
 namespace cnsim
 {
+
+class ByteReader;
+class ByteWriter;
 
 /** One frame of a data d-group. */
 struct Frame
@@ -92,6 +95,8 @@ class NuDataArray
         return static_cast<int>(frames.size());
     }
 
+    [[nodiscard]] unsigned framesPerDGroup() const { return frames_per; }
+
     /** Valid frames currently held in @p dg. */
     [[nodiscard]] unsigned occupancy(DGroupId dg) const
     {
@@ -111,8 +116,11 @@ class NuDataArray
     void saveState(ByteWriter &w) const;
 
     /** Restore frames and free lists written by saveState, rejecting
-     * any free list that disagrees with the frames. */
-    void loadState(ByteReader &r);
+     * any free list that disagrees with the frames and any reverse
+     * pointer off the tag arrays of @p num_cores cores x @p tag_sets
+     * sets x @p tag_ways ways. */
+    void loadState(ByteReader &r, int num_cores, unsigned tag_sets,
+                   unsigned tag_ways);
 
   private:
     /** Valid frames per block address, counted from scratch. */

@@ -79,8 +79,10 @@ struct BehaviourSettings
  * validated CNCKPT01 byte format. */
 struct Checkpoint
 {
-    /** Version 2 added the settings; CMP-SNUCA's payload lost a port. */
-    static constexpr std::uint32_t current_version = 2;
+    /** Version 2 added the settings; CMP-SNUCA's payload lost a port.
+     *  Version 3 moved CMP-NuRAPID's tag LRU stamps ahead of its tag
+     *  entries, the layout of every other organization's arrays. */
+    static constexpr std::uint32_t current_version = 3;
 
     std::uint32_t version = current_version;
     std::uint32_t num_cores = 0;

@@ -8,7 +8,6 @@
 
 #include "common/stats.hh"
 #include "mem/bus.hh"
-#include "mem/crossbar.hh"
 #include "mem/memory.hh"
 #include "mem/packet.hh"
 
@@ -139,28 +138,6 @@ TEST(SnoopBus, StatsPerCommand)
     EXPECT_EQ(g.counter("bus.wrBack").value(), 1u);
     bus.resetStats();
     EXPECT_EQ(g.counter("bus.busRd").value(), 0u);
-}
-
-TEST(Crossbar, ParallelDGroupsIndependentPorts)
-{
-    Crossbar x(4);
-    // Different d-groups are reachable in parallel.
-    EXPECT_EQ(x.access(0, 0, 4), 0u);
-    EXPECT_EQ(x.access(1, 0, 4), 0u);
-    // The same d-group serializes.
-    EXPECT_EQ(x.access(0, 0, 4), 4u);
-}
-
-TEST(Crossbar, TraversalLatencyAdds)
-{
-    Crossbar x(2, 3);
-    EXPECT_EQ(x.access(0, 10, 4), 13u);
-}
-
-TEST(CrossbarDeathTest, BadDGroupPanics)
-{
-    Crossbar x(2);
-    EXPECT_DEATH((void)x.access(5, 0, 1), "bad d-group");
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "common/rng.hh"
@@ -81,6 +82,25 @@ struct FuzzCase
     PromotionPolicy promo;
     ReplicationPolicy repl;
 };
+
+/**
+ * Name a case by its settings (seed1_pool16_store30_cr_isc_fastest_
+ * onSecondUse), so its test name is stable; gtest would otherwise print
+ * the struct's raw bytes, padding included.
+ */
+void
+PrintTo(const FuzzCase &fc, std::ostream *os)
+{
+    static const char *const promo[] = {"fastest", "nextFastest",
+                                        "noPromotion"};
+    static const char *const repl[] = {"onSecondUse", "onFirstUse",
+                                       "never"};
+    *os << "seed" << fc.seed << "_pool" << fc.pool_blocks << "_store"
+        << static_cast<int>(fc.store_frac * 100 + 0.5) << '_'
+        << (fc.cr ? "cr" : "noCr") << '_' << (fc.isc ? "isc" : "noIsc")
+        << '_' << promo[static_cast<int>(fc.promo)] << '_'
+        << repl[static_cast<int>(fc.repl)];
+}
 
 class NurapidFuzz : public ::testing::TestWithParam<FuzzCase>
 {
