@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/stats.hh"
 #include "mem/bus.hh"
 #include "mem/memory.hh"
 #include "nurapid/cmp_nurapid.hh"
@@ -201,6 +205,68 @@ TEST(NurapidCS, DemotionChainEvictsAtFullCapacity)
         total += r.l2.dgroupOccupancy(g);
     EXPECT_LE(total, 64u);
     r.l2.checkInvariants();
+}
+
+TEST(NurapidCS, TagVictimFrameEndsTheDemotionChain)
+{
+    // Specific distance replacement (Section 3.3.2): when a fill's tag
+    // victim frees a frame in d-group X, the demotion chain the fill
+    // starts in the full closest d-group stops in X's freed frame, so
+    // no block leaves the cache. A random stop short of X would evict
+    // one. Two frames per d-group and two 2-way tag sets per core make
+    // such fills common; every core churns through its own blocks.
+    NurapidParams p = tinyNurapid();
+    p.dgroup_capacity = 2 * 128;
+    p.assoc = 2;
+    p.promotion = PromotionPolicy::None;
+    int specific_stops = 0;
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        p.seed = seed;
+        Rig r(p);
+        StatGroup stats("nurapid");
+        r.l2.regStats(stats);
+        const Counter &chain_stops = stats.counter("l2.chainStopEvictions");
+        const PrefTable &pref = r.l2.prefTable();
+        // Core 0's blocks of each tag set, oldest first: it never hits,
+        // so the oldest still valid one is its set's LRU entry.
+        std::vector<Addr> fifo[2];
+        Tick t = 0;
+        for (int i = 0; i < 200; ++i) {
+            t += 1000;
+            CoreId c = static_cast<CoreId>(i % 4);
+            Addr a = 0x100000 * (c + 1) + static_cast<Addr>(i / 4) * 128;
+            if (c != 0) {
+                r.l2.access({c, a, MemOp::Load}, t);
+                continue;
+            }
+            auto &set = fifo[(a >> 7) & 1];
+            std::erase_if(set, [&](Addr b) {
+                return r.l2.stateOf(0, b) == CohState::Invalid;
+            });
+            bool specific = false;
+            DGroupId freed = invalid_id;
+            if (set.size() == 2) {
+                freed = r.l2.fwdOf(0, set.front()).dgroup;
+                int rank = pref.rankOf(0, freed);
+                specific = rank >= 2;
+                for (int k = 0; k < rank; ++k)
+                    specific = specific &&
+                               r.l2.dgroupOccupancy(pref.order(0)[k]) == 2;
+            }
+            std::uint64_t stops = chain_stops.value();
+            r.l2.access({0, a, MemOp::Load}, t);
+            set.push_back(a);
+            if (specific) {
+                ++specific_stops;
+                EXPECT_EQ(chain_stops.value(), stops) << "seed " << seed;
+                EXPECT_EQ(r.l2.dgroupOccupancy(freed), 2u) << "seed " << seed;
+            }
+        }
+        r.l2.checkInvariants();
+    }
+    // The chain ran into a freed frame two or three ranks down often
+    // enough that a random stop would have cut it short.
+    EXPECT_GE(specific_stops, 10);
 }
 
 TEST(NurapidCS, SharedVictimIsEvictedNotDemoted)
