@@ -7,44 +7,36 @@
 namespace cnsim
 {
 
-L1Cache::L1Cache(std::string name, const L1Params &p)
-    : _name(std::move(name)), params(p)
+namespace
 {
-    cnsim_assert(isPowerOf2(params.size) && isPowerOf2(params.assoc) &&
-                     isPowerOf2(params.block_size),
-                 "L1 geometry must be powers of two");
-    num_sets = params.size / (params.assoc * params.block_size);
-    cnsim_assert(num_sets >= 1, "L1 too small");
-    block_shift = floorLog2(params.block_size);
-    set_mask = num_sets - 1;
-    blocks.assign(static_cast<std::size_t>(num_sets) * params.assoc, Block{});
-}
 
+/** @return the set count of @p p, whose geometry must be powers of
+ *  two. */
 unsigned
-L1Cache::setIndex(Addr addr) const
+l1Sets(const L1Params &p)
 {
-    return static_cast<unsigned>((addr >> block_shift) & set_mask);
+    cnsim_assert(isPowerOf2(p.size) && isPowerOf2(p.assoc) &&
+                     isPowerOf2(p.block_size),
+                 "L1 geometry must be powers of two");
+    unsigned sets = p.size / (p.assoc * p.block_size);
+    cnsim_assert(sets >= 1, "L1 too small");
+    return sets;
 }
 
-L1Cache::Block *
-L1Cache::findBlock(Addr addr)
+} // namespace
+
+L1Cache::L1Cache(std::string name, const L1Params &p)
+    : _name(std::move(name)), params(p),
+      array(l1Sets(p), p.assoc, p.block_size)
 {
-    Addr tag = blockAlign(addr, params.block_size);
-    Block *set = &blocks[static_cast<std::size_t>(setIndex(addr)) *
-                         params.assoc];
-    for (unsigned w = 0; w < params.assoc; ++w) {
-        if (set[w].valid && set[w].tag == tag)
-            return &set[w];
-    }
-    return nullptr;
 }
 
 bool
 L1Cache::loadHit(Addr addr)
 {
-    Block *b = findBlock(addr);
+    Block *b = array.find(addr);
     if (b) {
-        b->lru = ++lru_clock;
+        array.touch(b);
         n_hits.inc();
         return true;
     }
@@ -55,12 +47,12 @@ L1Cache::loadHit(Addr addr)
 L1StoreCheck
 L1Cache::storeCheck(Addr addr)
 {
-    Block *b = findBlock(addr);
+    Block *b = array.find(addr);
     if (!b) {
         n_misses.inc();
         return L1StoreCheck::Miss;
     }
-    b->lru = ++lru_clock;
+    array.touch(b);
     if (b->write_through) {
         // The store still counts as an L1 hit for locality accounting,
         // but it must be propagated to the single L2 data copy.
@@ -78,29 +70,14 @@ L1Cache::storeCheck(Addr addr)
 void
 L1Cache::fill(Addr addr, bool owned, bool write_through)
 {
-    Addr tag = blockAlign(addr, params.block_size);
-    if (Block *b = findBlock(addr)) {
-        b->owned = owned;
-        b->write_through = write_through;
-        b->lru = ++lru_clock;
-        return;
+    Block *b = array.find(addr);
+    if (!b) {
+        b = array.victim(addr);
+        array.setTag(b, blockAlign(addr, params.block_size));
     }
-    Block *set = &blocks[static_cast<std::size_t>(setIndex(addr)) *
-                         params.assoc];
-    Block *victim = &set[0];
-    for (unsigned w = 0; w < params.assoc; ++w) {
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
-        }
-        if (set[w].lru < victim->lru)
-            victim = &set[w];
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->owned = owned;
-    victim->write_through = write_through;
-    victim->lru = ++lru_clock;
+    b->owned = owned;
+    b->write_through = write_through;
+    array.touch(b);
 }
 
 bool
@@ -109,8 +86,8 @@ L1Cache::invalidateL2Block(Addr l2_block_addr, unsigned l2_block_size)
     std::uint64_t removed = 0;
     for (Addr a = l2_block_addr; a < l2_block_addr + l2_block_size;
          a += params.block_size) {
-        if (Block *b = findBlock(a)) {
-            b->valid = false;
+        if (Block *b = array.find(a)) {
+            array.invalidate(b);
             ++removed;
             n_invalidations.inc();
         }
@@ -127,7 +104,7 @@ L1Cache::downgradeL2Block(Addr l2_block_addr, unsigned l2_block_size,
 {
     for (Addr a = l2_block_addr; a < l2_block_addr + l2_block_size;
          a += params.block_size) {
-        if (Block *b = findBlock(a)) {
+        if (Block *b = array.find(a)) {
             b->owned = false;
             if (make_write_through)
                 b->write_through = true;
@@ -162,43 +139,26 @@ L1Cache::attachSink(obs::TraceSink *s, CoreId core)
 }
 
 void
-L1Cache::flushAll()
-{
-    for (auto &b : blocks)
-        b = Block{};
-    lru_clock = 0;
-}
-
-void
 L1Cache::saveState(ByteWriter &w) const
 {
-    w.u32(static_cast<std::uint32_t>(blocks.size()));
-    w.u64(lru_clock);
-    for (const Block &b : blocks) {
-        w.u64(b.tag);
-        w.u8(static_cast<std::uint8_t>((b.valid ? 1 : 0) |
-                                       (b.owned ? 2 : 0) |
-                                       (b.write_through ? 4 : 0)));
-        w.u64(b.lru);
-    }
+    array.saveState(w, [](ByteWriter &out, const Block &b) {
+        out.u64(b.addr);
+        out.u8(static_cast<std::uint8_t>((b.valid ? 1 : 0) |
+                                         (b.owned ? 2 : 0) |
+                                         (b.write_through ? 4 : 0)));
+    });
 }
 
 void
 L1Cache::loadState(ByteReader &r)
 {
-    std::uint32_t n = r.u32();
-    if (n != blocks.size())
-        r.fail("L1 '%s' of %u blocks does not fit this run's %zu",
-               _name.c_str(), n, blocks.size());
-    lru_clock = r.u64();
-    for (Block &b : blocks) {
-        b.tag = r.u64();
-        std::uint8_t flags = r.u8();
+    array.loadState(r, [](ByteReader &in, Block &b) {
+        b.addr = in.u64();
+        std::uint8_t flags = in.u8();
         b.valid = flags & 1;
         b.owned = flags & 2;
         b.write_through = flags & 4;
-        b.lru = r.u64();
-    }
+    });
 }
 
 } // namespace cnsim

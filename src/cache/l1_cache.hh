@@ -18,8 +18,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "cache/set_assoc.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/packet.hh"
@@ -31,9 +31,6 @@ namespace obs
 {
 class TraceSink;
 } // namespace obs
-
-class ByteReader;
-class ByteWriter;
 
 /** Parameters for an L1 cache. */
 struct L1Params
@@ -100,18 +97,11 @@ class L1Cache
 
     [[nodiscard]] std::uint64_t hits() const { return n_hits.value(); }
 
-    /** Drop all contents (used between runs). */
-    void flushAll();
-
     /** Valid blocks currently cached (checkpoint inspector). */
     [[nodiscard]] std::uint64_t
     validBlockCount() const
     {
-        std::uint64_t n = 0;
-        for (const Block &b : blocks)
-            if (b.valid)
-                ++n;
-        return n;
+        return array.validCount();
     }
 
     /** Serialize contents + LRU state into a checkpoint. */
@@ -131,23 +121,15 @@ class L1Cache
   private:
     struct Block
     {
-        Addr tag = 0;
+        Addr addr = 0;
         bool valid = false;
         bool owned = false;
         bool write_through = false;
-        std::uint64_t lru = 0;
     };
-
-    Block *findBlock(Addr addr);
-    unsigned setIndex(Addr addr) const;
 
     std::string _name;
     L1Params params;
-    unsigned num_sets;
-    unsigned block_shift;
-    Addr set_mask;
-    std::vector<Block> blocks;
-    std::uint64_t lru_clock = 0;
+    SetAssocArray<Block> array;
 
     Counter n_hits;
     Counter n_misses;

@@ -2,14 +2,13 @@
  * @file
  * A reusable set-associative array with LRU bookkeeping.
  *
- * Every L2 organization keeps its tags here: the shared caches' banks,
+ * Every cache keeps its blocks here: the L1s, the shared caches' banks,
  * the private caches and CMP-NuRAPID's per-core tag arrays, whose
  * category-prioritized replacement is the ranked form of victim(). The
  * block type is supplied by the user and must expose `valid` and `addr`
  * (block-aligned) members; LRU state lives in a packed side array here,
  * not in the block. Tag/valid state must be changed only through
- * setTag()/invalidate()/flushAll(), which keep the packed probe mirrors
- * coherent.
+ * setTag()/invalidate(), which keep the packed probe mirror coherent.
  */
 
 #ifndef CNSIM_CACHE_SET_ASSOC_HH
@@ -47,27 +46,6 @@ class SetAssocArray
     }
 
     [[nodiscard]] unsigned assoc() const { return _assoc; }
-
-    /** @return the set index for @p addr (shift/mask; geometry is
-     *  asserted power-of-two at construction). */
-    [[nodiscard]] unsigned
-    setIndex(Addr addr) const
-    {
-        return static_cast<unsigned>((addr >> _block_shift) & _set_mask);
-    }
-
-    /** @return pointer to the first way of @p addr's set. */
-    [[nodiscard]] BlockT *
-    set(Addr addr)
-    {
-        return &blocks[static_cast<std::size_t>(setIndex(addr)) * _assoc];
-    }
-
-    [[nodiscard]] const BlockT *
-    set(Addr addr) const
-    {
-        return &blocks[static_cast<std::size_t>(setIndex(addr)) * _assoc];
-    }
 
     /** @return the matching valid block, or nullptr. */
     [[nodiscard]] BlockT *
@@ -137,11 +115,7 @@ class SetAssocArray
     /**
      * Ranked replacement: the first invalid way of @p addr's set, else
      * the LRU way among the valid ways of the lowest rank. @p rank
-     * (int(const BlockT&)) ranks a valid way; a negative rank makes it
-     * ineligible. Ties go to the first way.
-     *
-     * @return the victim, or nullptr if every way is valid and
-     *         ineligible.
+     * (int(const BlockT&)) ranks a valid way. Ties go to the first way.
      */
     template <typename RankFn>
     [[nodiscard]] BlockT *
@@ -159,8 +133,6 @@ class SetAssocArray
             if (way_tags[i] == 0)
                 return &blocks[i];
             int r = rank(blocks[i]);
-            if (r < 0)
-                continue;
             if (!best || r < best_rank ||
                 (r == best_rank && way_lru[i] < best_lru)) {
                 best = &blocks[i];
@@ -202,19 +174,17 @@ class SetAssocArray
         return blocks[static_cast<std::size_t>(set) * _assoc + way];
     }
 
-    /** Iterate over all blocks (for invariant checks and flushes). */
-    std::vector<BlockT> &raw() { return blocks; }
+    /** Iterate over all blocks (for invariant checks). */
     const std::vector<BlockT> &raw() const { return blocks; }
 
-    /** Invalidate everything. */
-    void
-    flushAll()
+    /** @return the number of valid blocks. */
+    [[nodiscard]] std::uint64_t
+    validCount() const
     {
-        for (auto &b : blocks)
-            b = BlockT{};
-        way_tags.assign(blocks.size(), 0);
-        way_lru.assign(blocks.size(), 0);
-        lru_clock = 0;
+        std::uint64_t n = 0;
+        for (Addr tag : way_tags)
+            n += tag != 0;
+        return n;
     }
 
     /**
@@ -262,6 +232,14 @@ class SetAssocArray
     }
 
   private:
+    /** @return the set index for @p addr (shift/mask; geometry is
+     *  asserted power-of-two at construction). */
+    [[nodiscard]] unsigned
+    setIndex(Addr addr) const
+    {
+        return static_cast<unsigned>((addr >> _block_shift) & _set_mask);
+    }
+
     [[nodiscard]] std::size_t
     indexOf(const BlockT *b) const
     {
@@ -277,7 +255,7 @@ class SetAssocArray
     Addr _set_mask;
     std::vector<BlockT> blocks;
     /** Per-way packed tag: addr|1 when valid, 0 when invalid. Kept in
-     *  sync with the blocks by setTag()/invalidate()/flushAll(). */
+     *  sync with the blocks by setTag()/invalidate(). */
     std::vector<Addr> way_tags;
     /** Per-way LRU stamps, packed for the victim() scan. */
     std::vector<std::uint64_t> way_lru;

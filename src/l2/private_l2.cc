@@ -191,9 +191,7 @@ PrivateCaches::validBlockCount() const
 {
     std::uint64_t n = 0;
     for (const auto &cache : caches)
-        for (const Block &b : cache.raw())
-            if (b.valid)
-                ++n;
+        n += cache.validCount();
     return n;
 }
 

@@ -209,10 +209,7 @@ SharedL2::access(const MemAccess &acc, Tick at)
 std::uint64_t
 SharedL2::validBlockCount() const
 {
-    std::uint64_t n = 0;
-    for (const Block &b : array.raw())
-        n += b.valid ? 1 : 0;
-    return n;
+    return array.validCount();
 }
 
 void

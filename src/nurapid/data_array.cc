@@ -124,19 +124,6 @@ NuDataArray::randomVictim(DGroupId dg, Rng &rng, Addr pinned_addr)
 }
 
 void
-NuDataArray::flushAll()
-{
-    for (int g = 0; g < numDGroups(); ++g) {
-        for (auto &f : frames[g])
-            f = Frame{};
-        free_list[g].clear();
-        for (int i = static_cast<int>(frames_per) - 1; i >= 0; --i)
-            free_list[g].push_back(i);
-    }
-    n_holding.clear();
-}
-
-void
 NuDataArray::saveState(ByteWriter &w) const
 {
     w.u32(static_cast<std::uint32_t>(numDGroups()));

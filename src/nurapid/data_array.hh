@@ -109,8 +109,6 @@ class NuDataArray
         return frames[dg];
     }
 
-    void flushAll();
-
     /** Serialize frames and free lists (order matters: allocate() pops
      * from the back, so the free-list sequence is architectural). */
     void saveState(ByteWriter &w) const;

@@ -47,12 +47,6 @@ struct TagEntry
     bool valid = false;
     CohState state = CohState::Invalid;
     FwdPtr fwd;
-    /**
-     * Busy bit: a read from a farther d-group is in progress, so
-     * replacement invalidations against this entry must be inhibited
-     * until the read completes (paper Section 3.1 timing fix).
-     */
-    bool busy = false;
 };
 
 /**
@@ -60,14 +54,11 @@ struct TagEntry
  * Replacement is category-prioritized (paper Section 3.3.2): invalid
  * entries first, then private (E/M) blocks, then shared (S/C) blocks,
  * with LRU inside each category -- shared evictions are last because
- * they force BusRepl invalidations at the other sharers. A busy entry
- * is never replaced.
+ * they force BusRepl invalidations at the other sharers.
  */
 inline int
 tagRank(const TagEntry &e)
 {
-    if (e.busy)
-        return -1;
     return isPrivateState(e.state) ? 0 : 1;
 }
 

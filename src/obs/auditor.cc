@@ -185,13 +185,6 @@ ProtocolAuditor::auditTransition(const TraceEvent &ev)
                              ev.core, stateChar(news), toString(cause)));
     }
 
-    // The busy bit pins a tag against invalidation while a shared read
-    // is in flight (DESIGN.md 2: BusRepl vs. in-flight reads).
-    if ((ev.arg & trans_flag_busy) && news == CohState::Invalid)
-        violation(ev.addr, ba,
-                  strfmt("core%d busy tag invalidated (cause=%s)",
-                         ev.core, toString(cause)));
-
     // Write-through-for-C: every processor write that stays in C must
     // have been broadcast (the paper's C writes are all BusRdX).
     if (proto == AuditProtocol::Mesic && cause == TransCause::PrWr &&

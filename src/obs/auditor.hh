@@ -13,8 +13,6 @@
  *  - no-exit-from-C except invalidation by replacement (BusRepl or a
  *    local tag/frame victim) -- MESIC only;
  *  - C never appears under a non-MESIC protocol;
- *  - no invalidation of a busy tag (the busy bit guards an in-flight
- *    shared read against BusRepl);
  *  - write-through-for-C: a processor write that keeps a block in C
  *    must carry the bus-broadcast flag (every C write is a BusRdX);
  *  - directory agreement (mesh/ring runs): each Directory event is an

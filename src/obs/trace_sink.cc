@@ -115,8 +115,6 @@ writeChromeJson(const std::string &path,
           case EventKind::Transition:
             json += strfmt(",\"cause\":\"%s\"",
                            toString(static_cast<TransCause>(ev.c)));
-            if (ev.arg & trans_flag_busy)
-                json += ",\"busy\":1";
             if (ev.arg & trans_flag_broadcast)
                 json += ",\"broadcast\":1";
             break;
@@ -164,12 +162,11 @@ formatEvent(const TraceEvent &ev, const std::vector<std::string> &components)
                     toString(static_cast<BusCmd>(ev.a)), ev.dur);
         break;
       case EventKind::Transition:
-        s += strfmt("core%d 0x%" PRIx64 " %c>%c cause=%s%s%s", ev.core,
+        s += strfmt("core%d 0x%" PRIx64 " %c>%c cause=%s%s", ev.core,
                     static_cast<std::uint64_t>(ev.addr),
                     stateChar(static_cast<CohState>(ev.a)),
                     stateChar(static_cast<CohState>(ev.b)),
                     toString(static_cast<TransCause>(ev.c)),
-                    (ev.arg & trans_flag_busy) ? " busy" : "",
                     (ev.arg & trans_flag_broadcast) ? " bcast" : "");
         break;
       case EventKind::DGroup:

@@ -23,7 +23,7 @@
  *
  * Layout:
  *   "CNCKPT01"                       8-byte magic
- *   u32 version                      currently 2
+ *   u32 version                      currently 4
  *   u32 num_cores, l2_kind, interconnect
  *   u64 tick, events_executed
  *   u64 trace_params_hash, trace_seed, warmup_instructions
@@ -81,8 +81,10 @@ struct Checkpoint
 {
     /** Version 2 added the settings; CMP-SNUCA's payload lost a port.
      *  Version 3 moved CMP-NuRAPID's tag LRU stamps ahead of its tag
-     *  entries, the layout of every other organization's arrays. */
-    static constexpr std::uint32_t current_version = 3;
+     *  entries, the layout of every other organization's arrays.
+     *  Version 4 gave the L1s that layout too: geometry, LRU clock and
+     *  stamps, then {u64 addr, u8 flags} per block. */
+    static constexpr std::uint32_t current_version = 4;
 
     std::uint32_t version = current_version;
     std::uint32_t num_cores = 0;

@@ -46,10 +46,16 @@ install(SetAssocArray<TagEntry> &t, Addr addr, CohState state)
 TEST(NurapidTags, FindAfterInstall)
 {
     auto t = tagArray(4, 2);
+    EXPECT_EQ(t.validCount(), 0u);
     TagEntry *v = install(t, 0x1000, CohState::Exclusive);
     EXPECT_EQ(t.find(0x1000), v);
     EXPECT_EQ(t.find(0x1040), v);  // same 128 B block
     EXPECT_EQ(t.find(0x2000), nullptr);
+    install(t, 0x2000, CohState::Shared);
+    EXPECT_EQ(t.validCount(), 2u);
+    t.invalidate(v);
+    EXPECT_EQ(t.find(0x1000), nullptr);
+    EXPECT_EQ(t.validCount(), 1u);
 }
 
 TEST(NurapidTags, SetAndWayRoundTrip)
@@ -94,17 +100,6 @@ TEST(NurapidTags, VictimFallsBackToShared)
     TagEntry *v = t.victim(0x9000, tagRank);
     EXPECT_EQ(v->state, CohState::Communication);
     EXPECT_EQ(v->addr, 0u);  // LRU of the two
-}
-
-TEST(NurapidTags, VictimSkipsBusyEntries)
-{
-    auto t = tagArray(1, 2);
-    TagEntry *a = install(t, 0, CohState::Shared);
-    a->busy = true;  // read in progress: must not be displaced
-    TagEntry *b = install(t, 128, CohState::Shared);
-    EXPECT_EQ(t.victim(0x9000, tagRank), b);
-    b->busy = true;
-    EXPECT_EQ(t.victim(0x9000, tagRank), nullptr);
 }
 
 TEST(NurapidTags, LruTieGoesToTheFirstWay)
@@ -389,19 +384,6 @@ TEST(NuDataArray, HoldingMatchesScanUnderRandomFillFree)
         churn(d, rng, 7);
         expectHoldingMatchesScan(d);
     }
-}
-
-TEST(NuDataArray, HoldingAfterFlushAll)
-{
-    NuDataArray d(2, 8);
-    Rng rng(12);
-    churn(d, rng, 30);
-    expectHoldingMatchesScan(d);
-    d.flushAll();
-    for (int i = 0; i <= n_blocks; ++i)
-        EXPECT_EQ(d.holding(blockAddr(i)), 0);
-    churn(d, rng, 30);
-    expectHoldingMatchesScan(d);
 }
 
 TEST(NuDataArray, HoldingAfterLoadState)

@@ -158,19 +158,6 @@ TEST(ProtocolAuditorDeathTest, CUnderNonMesicDies)
         "C state under MESI");
 }
 
-TEST(ProtocolAuditorDeathTest, BusyTagInvalidationDies)
-{
-    obs::ProtocolAuditor au(obs::AuditProtocol::Mesic, 4);
-    const Addr x = 0x6000;
-    au.onEvent(makeTrans(10, 0, x, CohState::Invalid, CohState::Shared,
-                         obs::TransCause::Fill));
-    EXPECT_DEATH(
-        au.onEvent(makeTrans(20, 0, x, CohState::Shared,
-                             CohState::Invalid, obs::TransCause::BusRepl,
-                             obs::trans_flag_busy)),
-        "busy tag invalidated");
-}
-
 TEST(ProtocolAuditorDeathTest, CWriteWithoutBroadcastDies)
 {
     obs::ProtocolAuditor au(obs::AuditProtocol::Mesic, 4);
@@ -519,9 +506,6 @@ class LegalStream
     trans(std::vector<obs::TraceEvent> &out, int blk, CoreId c,
           CohState news, obs::TransCause cause, std::uint64_t flags = 0)
     {
-        // The busy bit may ride on any transition that keeps a copy.
-        if (news != CohState::Invalid && rng.chance(0.1))
-            flags |= obs::trans_flag_busy;
         obs::TraceEvent ev;
         ev.tick = t;
         ev.addr = addrOf(blk);
