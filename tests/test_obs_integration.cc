@@ -4,8 +4,9 @@
  * Runner: the auditor passes on real workloads for every L2
  * organization, observability never perturbs simulated timing, and a
  * run's binlog reads back through the cntrace reader with event counts
- * that agree with the run's statistics counters and converts to
- * well-formed Chrome JSON.
+ * (bus transactions, CMP-NuRAPID's d-group operations) that agree with
+ * the run's statistics counters and converts to well-formed Chrome
+ * JSON.
  */
 
 #include <gtest/gtest.h>
@@ -49,6 +50,23 @@ shortRun()
     rc.warmup_instructions = 80'000;
     rc.measure_instructions = 120'000;
     return rc;
+}
+
+/** @return statistic @p name of a RunResult::stats_dump. */
+std::uint64_t
+statValue(const std::string &dump, const std::string &name)
+{
+    std::istringstream in(dump);
+    std::string line;
+    while (std::getline(in, line)) {
+        std::istringstream fields(line);
+        std::string stat;
+        std::uint64_t value = 0;
+        if (fields >> stat >> value && stat == name)
+            return value;
+    }
+    ADD_FAILURE() << "no statistic " << name;
+    return 0;
 }
 
 /** Every timing-visible field of a RunResult, for bit-identity checks. */
@@ -151,6 +169,45 @@ TEST(ObsIntegration, BinaryTraceRoundTripMatchesCounters)
     for (const obs::TraceEvent &ev : obs::binlogEvents(data))
         bus_events += ev.kind == obs::EventKind::BusTx ? 1 : 0;
     EXPECT_EQ(bus_events, r.bus_transactions);
+    std::remove(rc.binlog_out.c_str());
+}
+
+TEST(ObsIntegration, NurapidDGroupOpsMatchCounters)
+{
+    // Each logged d-group operation is one counted action: a hit, a CR
+    // replica, a CR pointer join, or an ISC join, which either joins the
+    // dirty copy in place or migrates it next to the reader.
+    SystemConfig cfg = Runner::paperConfig(L2Kind::Nurapid);
+    RunConfig rc;
+    rc.warmup_instructions = 200'000;
+    rc.measure_instructions = 300'000;
+    rc.collect_stats_dump = true;
+    rc.binlog_out = tmpPath("dgroup_ops.blg");
+    RunResult r = Runner::run(cfg, workloads::byName("oltp"), rc);
+
+    obs::BinlogData data;
+    std::string err;
+    ASSERT_TRUE(obs::readBinlog(rc.binlog_out, data, &err)) << err;
+    std::uint64_t ops[obs::num_dgroup_ops] = {};
+    for (const obs::TraceEvent &ev : obs::binlogEvents(data)) {
+        if (ev.kind != obs::EventKind::DGroup)
+            continue;
+        ASSERT_LT(ev.a, obs::num_dgroup_ops);
+        ++ops[ev.a];
+    }
+    auto logged = [&](obs::DGroupOp op) {
+        return ops[static_cast<int>(op)];
+    };
+    auto stat = [&](const char *name) {
+        return statValue(r.stats_dump, std::string("system.l2.") + name);
+    };
+    EXPECT_GT(logged(obs::DGroupOp::Migration), 0u);
+    EXPECT_EQ(logged(obs::DGroupOp::Replication), stat("replications"));
+    EXPECT_EQ(logged(obs::DGroupOp::Hit),
+              stat("closestHits") + stat("fartherHits"));
+    EXPECT_EQ(logged(obs::DGroupOp::PointerJoin) +
+                  logged(obs::DGroupOp::Migration),
+              stat("pointerJoins") + stat("iscJoins"));
     std::remove(rc.binlog_out.c_str());
 }
 
