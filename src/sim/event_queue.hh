@@ -6,19 +6,20 @@
  * architectural state atomically at the moment a request is issued and
  * compose the request's completion time from resource-occupancy delays
  * (see mem/resource.hh). The event queue sequences the *initiators* --
- * cores scheduling their next instruction, background writebacks, and
- * any deferred actions -- in strict global tick order, which is what
- * gives different cores' requests a deterministic interleaving.
+ * the cores, each scheduling its next instruction -- in strict global
+ * tick order, which is what gives different cores' requests a
+ * deterministic interleaving.
  *
- * Engine design (see DESIGN.md section 3e): events are fixed-size,
- * arena-allocated records with a small inline buffer for the callable
- * (no std::function, no per-event heap allocation on the hot path) and
- * are sequenced by a two-level calendar queue -- a power-of-two wheel
- * of per-tick FIFO buckets for the near window plus a (when, seq)
- * min-heap for far-future events. Appending to a bucket tail and
- * draining the overflow heap in (when, seq) order preserve the global
- * (tick, seq) FIFO tie-order exactly, so every figure and ablation
- * output is byte-identical to the original binary-heap engine.
+ * Engine design (see DESIGN.md section 3e): the paper's in-order cores
+ * have one outstanding miss each, so every core has exactly one step
+ * pending and the queue never holds more events than there are cores.
+ * The pending events live in one vector sorted latest-first. schedule()
+ * appends the new event and walks it toward the front past every event
+ * at or before its tick; run() and step() pop the back. The new event
+ * has the highest sequence number, so walking past equal ticks keeps
+ * the global (tick, seq) FIFO tie-order that every golden output
+ * depends on. Each event stores its callable inline (no std::function,
+ * no per-event heap allocation).
  */
 
 #ifndef CNSIM_SIM_EVENT_QUEUE_HH
@@ -27,7 +28,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -53,8 +53,7 @@ struct IsStdFunction<std::function<Sig>> : std::true_type
 class EventQueue
 {
   public:
-    EventQueue();
-    ~EventQueue();
+    EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -62,9 +61,9 @@ class EventQueue
     /**
      * Schedule callable @p f to run at tick @p when.
      * Events at equal ticks run in scheduling order (FIFO), which keeps
-     * runs deterministic regardless of queue internals. The callable is
-     * stored inline in the event record; one larger than the inline
-     * budget does not compile.
+     * runs deterministic. The callable is stored inline in the event;
+     * one that is not trivially copyable, or larger than the inline
+     * budget, does not compile.
      *
      * @return the event's sequence number, which defines its FIFO rank
      * among same-tick events (checkpoints persist it so a restored
@@ -74,17 +73,39 @@ class EventQueue
     std::uint64_t
     schedule(Tick when, F &&f)
     {
+        using Fn = std::decay_t<F>;
+        static_assert(std::is_invocable_v<Fn &, Tick>,
+                      "event callable must accept a Tick");
+        static_assert(!IsStdFunction<Fn>::value,
+                      "a std::function scheduled on the EventQueue "
+                      "type-erases the callable and may allocate per "
+                      "event; schedule the lambda itself so it lands in "
+                      "the event's inline storage");
+        static_assert(std::is_trivially_copyable_v<Fn>,
+                      "event callable must be trivially copyable: the "
+                      "EventQueue moves events as plain bytes and never "
+                      "destroys them; capture pointers or references, "
+                      "not owning objects");
+        static_assert(sizeof(Fn) <= inline_bytes &&
+                          alignof(Fn) <= alignof(std::max_align_t),
+                      "event callable exceeds the EventQueue inline "
+                      "budget; shrink the capture: capture pointers or "
+                      "references, not copies of large objects");
         cnsim_assert(when >= cur_tick,
                      "scheduling into the past: %llu < %llu",
                      static_cast<unsigned long long>(when),
                      static_cast<unsigned long long>(cur_tick));
-        Event *e = allocEvent();
-        e->when = when;
-        e->seq = next_seq++;
-        e->next = nullptr;
-        emplaceCallable(e, std::forward<F>(f));
-        insert(e);
-        return e->seq;
+        std::size_t i = events.size();
+        events.emplace_back();
+        Event *v = events.data();
+        while (i > 0 && v[i - 1].when <= when) {
+            v[i] = v[i - 1];
+            --i;
+        }
+        v[i].when = when;
+        v[i].invoke = &invokeInline<Fn>;
+        ::new (static_cast<void *>(v[i].storage)) Fn(std::forward<F>(f));
+        return next_seq++;
     }
 
     /**
@@ -93,25 +114,32 @@ class EventQueue
      *
      * @return the tick of the last event executed.
      */
-    Tick run(Tick until = max_tick);
+    Tick
+    run(Tick until = max_tick)
+    {
+        while (!events.empty() && events.back().when <= until)
+            fire();
+        return cur_tick;
+    }
 
     /** Execute at most one pending event. @return false if none left. */
-    bool step();
+    bool
+    step()
+    {
+        if (events.empty())
+            return false;
+        fire();
+        return true;
+    }
 
     /** @return the current simulated time. */
     [[nodiscard]] Tick now() const { return cur_tick; }
 
     /** @return number of pending events. */
-    [[nodiscard]] std::size_t pending() const
-    {
-        return near_count + far.size();
-    }
+    [[nodiscard]] std::size_t pending() const { return events.size(); }
 
     /** @return total events executed since construction. */
     [[nodiscard]] std::uint64_t executed() const { return n_executed; }
-
-    /** Request that run() stop after the current event completes. */
-    void stop() { stop_requested = true; }
 
     /**
      * Reposition an *empty* queue at a checkpointed instant: the clock
@@ -127,145 +155,46 @@ class EventQueue
                      "resumeAt on a queue with %zu pending events",
                      pending());
         cur_tick = at;
-        wheel_base = at;
-        scan_tick = at;
         n_executed = executed;
     }
 
-    /**
-     * @return total event records owned by the arena (free + in use).
-     * Exposed so tests can assert the arena is reused, not regrown,
-     * across repeated schedule/run cycles.
-     */
-    [[nodiscard]] std::size_t arenaCapacity() const
-    {
-        return chunks.size() * chunk_events;
-    }
-
   private:
-    /** Inline storage for the scheduled callable, sized for the lambdas
-     *  the simulator actually schedules (core step captures fit). */
-    static constexpr std::size_t inline_bytes = 48;
-
-    /** Wheel width in ticks; power of two. 4096 comfortably covers the
-     *  longest single-request completion delay, so in steady state
-     *  every event lands in the near window. */
-    static constexpr std::size_t num_buckets = 4096;
-    static constexpr Tick bucket_mask = num_buckets - 1;
-
-    /** Events per arena chunk. */
-    static constexpr std::size_t chunk_events = 1024;
+    /** Inline storage for the scheduled callable: two pointers, which
+     *  is what a core's step lambda captures. */
+    static constexpr std::size_t inline_bytes = 16;
 
     struct Event
     {
         Tick when;
-        std::uint64_t seq;
-        Event *next; //!< bucket FIFO / freelist link
-        void (*invoke)(Event *, Tick);
-        void (*destroy)(Event *); //!< null for trivially destructible
+        void (*invoke)(Event &, Tick);
         alignas(std::max_align_t) unsigned char storage[inline_bytes];
     };
 
-    /** Per-tick FIFO of same-tick events in schedule (seq) order. */
-    struct Bucket
-    {
-        Event *head = nullptr;
-        Event *tail = nullptr;
-    };
-
     template <typename Fn>
     static void
-    invokeInline(Event *e, Tick t)
+    invokeInline(Event &e, Tick t)
     {
-        (*std::launder(reinterpret_cast<Fn *>(e->storage)))(t);
+        (*std::launder(reinterpret_cast<Fn *>(e.storage)))(t);
     }
 
-    template <typename Fn>
-    static void
-    destroyInline(Event *e)
+    /** Pop and execute the earliest event. It is copied out first: its
+     *  callable may schedule, which may reallocate the vector. */
+    void
+    fire()
     {
-        std::launder(reinterpret_cast<Fn *>(e->storage))->~Fn();
+        Event e = events.back();
+        events.pop_back();
+        cur_tick = e.when;
+        ++n_executed;
+        e.invoke(e, cur_tick);
     }
 
-    template <typename F>
-    static void
-    emplaceCallable(Event *e, F &&f)
-    {
-        using Fn = std::decay_t<F>;
-        static_assert(std::is_invocable_v<Fn &, Tick>,
-                      "event callable must accept a Tick");
-        static_assert(!IsStdFunction<Fn>::value,
-                      "a std::function scheduled on the EventQueue "
-                      "type-erases the callable and may allocate per "
-                      "event; schedule the lambda itself so it lands in "
-                      "the event's inline storage");
-        static_assert(sizeof(Fn) <= inline_bytes &&
-                          alignof(Fn) <= alignof(std::max_align_t),
-                      "event callable exceeds the EventQueue inline "
-                      "budget; shrink the capture: capture pointers or "
-                      "references, not copies of large objects");
-        ::new (static_cast<void *>(e->storage)) Fn(std::forward<F>(f));
-        e->invoke = &invokeInline<Fn>;
-        e->destroy = std::is_trivially_destructible_v<Fn>
-                         ? nullptr
-                         : &destroyInline<Fn>;
-    }
-
-    /** Heap order for the far-future overflow: min (when, seq) on top. */
-    struct FarGreater
-    {
-        bool
-        operator()(const Event *a, const Event *b) const
-        {
-            return a->when != b->when ? a->when > b->when : a->seq > b->seq;
-        }
-    };
-
-    Event *allocEvent();
-    void releaseEvent(Event *e);
-    void insert(Event *e);
-    /** Pour every near-window event back into the overflow heap (used
-     *  when a schedule targets a tick below the repositioned window). */
-    void spillNearToFar();
-
-    /**
-     * Detach and return the next event in (when, seq) order whose tick
-     * is <= @p until, or null. Advances the bucket scan; does not touch
-     * cur_tick.
-     */
-    Event *popNext(Tick until);
-
-    /**
-     * Reposition the (empty) near window at the earliest far-future
-     * event and migrate everything inside the new window into buckets.
-     * @return false if there are no events at all.
-     */
-    bool migrateFar();
-
-    void destroyPending();
-
-    std::vector<Bucket> buckets{num_buckets};
-    /** One bit per bucket: set iff the bucket is non-empty. popNext
-     *  finds the next pending tick with a cyclic find-first-set scan
-     *  instead of probing empty buckets one tick at a time. */
-    std::vector<std::uint64_t> occupied =
-        std::vector<std::uint64_t>(num_buckets / 64, 0);
-    /** Far-future overflow, binary-heap ordered by FarGreater. */
-    std::vector<Event *> far;
-    /** First tick of the near window [wheel_base, wheel_base+W). */
-    Tick wheel_base = 0;
-    /** Next tick the bucket scan will look at; no pending near event
-     *  is earlier than this. */
-    Tick scan_tick = 0;
-    std::size_t near_count = 0;
-
-    std::vector<std::unique_ptr<Event[]>> chunks;
-    Event *free_list = nullptr;
+    /** Pending events, latest first: the back is the next to run. */
+    std::vector<Event> events;
 
     Tick cur_tick = 0;
     std::uint64_t next_seq = 0;
     std::uint64_t n_executed = 0;
-    bool stop_requested = false;
 };
 
 } // namespace cnsim

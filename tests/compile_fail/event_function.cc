@@ -1,5 +1,5 @@
 // Compile-fail fixture: a type-erased std::function on the event queue
-// defeats the arena's inline storage.
+// defeats the event's inline storage.
 
 #include <functional>
 

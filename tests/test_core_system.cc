@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/core.hh"
 #include "sim/runner.hh"
@@ -277,6 +280,32 @@ TEST(Core, EpochAccountingResets)
     EXPECT_GT(before, 0u);
     core.markEpoch(eq.now());
     EXPECT_EQ(core.epochInstructions(), 0u);
+}
+
+TEST(System, EachCoreKeepsOneStepPending)
+{
+    // An in-order core with one outstanding miss schedules its next
+    // step only from its current one, so the kernel holds exactly one
+    // event per core after every step, on the bus and on the mesh.
+    for (auto [cores, icn] : {std::pair{4, InterconnectKind::Bus},
+                              std::pair{16, InterconnectKind::Mesh}}) {
+        System sys(Runner::paperConfig(L2Kind::Nurapid, cores, icn));
+        CanonicalWorkload wl(Runner::effectiveSynthParams(
+            workloads::byName("oltp", cores), RunConfig{}));
+        EventQueue eq;
+        std::vector<std::unique_ptr<Core>> cpus;
+        for (int c = 0; c < cores; ++c) {
+            cpus.push_back(std::make_unique<Core>(c, sys, wl.source(c)));
+            cpus.back()->start(eq);
+        }
+        const auto n = static_cast<std::size_t>(cores);
+        ASSERT_EQ(eq.pending(), n);
+        for (int i = 0; i < 20'000; ++i) {
+            ASSERT_TRUE(eq.step());
+            ASSERT_EQ(eq.pending(), n) << "after step " << i;
+        }
+        EXPECT_GT(eq.now(), 0u);
+    }
 }
 
 TEST(System, AllKindsConstructAndServe)
