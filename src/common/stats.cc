@@ -32,13 +32,6 @@ StatGroup::addCounter(const std::string &n, Counter *c, std::string desc)
 }
 
 void
-StatGroup::addScalar(const std::string &n, Scalar *s, std::string desc)
-{
-    cnsim_assert(s != nullptr, "null scalar '%s'", n.c_str());
-    scalars.set(n, s, std::move(desc));
-}
-
-void
 StatGroup::addDistribution(const std::string &n, Distribution *d,
                            std::string desc)
 {
@@ -52,15 +45,6 @@ StatGroup::counter(const std::string &n) const
     const auto *e = counters.find(n);
     if (!e)
         panic("no counter '%s' in group '%s'", n.c_str(), _name.c_str());
-    return *e->stat;
-}
-
-const Scalar &
-StatGroup::scalar(const std::string &n) const
-{
-    const auto *e = scalars.find(n);
-    if (!e)
-        panic("no scalar '%s' in group '%s'", n.c_str(), _name.c_str());
     return *e->stat;
 }
 
@@ -78,8 +62,6 @@ StatGroup::resetAll()
 {
     for (auto &e : counters.v)
         e.stat->reset();
-    for (auto &e : scalars.v)
-        e.stat->reset();
     for (auto &e : dists.v)
         e.stat->reset();
 }
@@ -91,10 +73,6 @@ StatGroup::dumpCsv() const
     os << "stat,value\n";
     for (const auto &e : counters.v) {
         os << _name << "." << e.name << "," << e.stat->value() << "\n";
-    }
-    for (const auto &e : scalars.v) {
-        os << _name << "." << e.name << ","
-           << strfmt("%.6f", e.stat->value()) << "\n";
     }
     for (const auto &e : dists.v) {
         const Distribution &d = *e.stat;
@@ -117,13 +95,6 @@ StatGroup::dump() const
     for (const auto &e : counters.v) {
         os << strfmt("%-48s %20llu", (_name + "." + e.name).c_str(),
                      static_cast<unsigned long long>(e.stat->value()));
-        if (!e.desc.empty())
-            os << "  # " << e.desc;
-        os << "\n";
-    }
-    for (const auto &e : scalars.v) {
-        os << strfmt("%-48s %20.6f", (_name + "." + e.name).c_str(),
-                     e.stat->value());
         if (!e.desc.empty())
             os << "  # " << e.desc;
         os << "\n";

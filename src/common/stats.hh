@@ -8,7 +8,6 @@
  *
  * Supported kinds:
  *  - Counter: a monotonically increasing event count.
- *  - Scalar: an arbitrary floating-point value.
  *  - Distribution: bucketed counts over a fixed integer range with
  *    underflow/overflow buckets (used for, e.g., reuse-count histograms).
  */
@@ -49,21 +48,6 @@ class Counter
 
   private:
     std::uint64_t _value = 0;
-};
-
-/** An arbitrary scalar value. */
-class Scalar
-{
-  public:
-    Scalar() = default;
-
-    void set(double v) { _value = v; }
-    void add(double v) { _value += v; }
-    double value() const { return _value; }
-    void reset() { _value = 0.0; }
-
-  private:
-    double _value = 0.0;
 };
 
 /**
@@ -253,22 +237,13 @@ class StatGroup
     explicit StatGroup(std::string name) : _name(std::move(name)) {}
 
     void addCounter(const std::string &n, Counter *c, std::string desc = "");
-    void addScalar(const std::string &n, Scalar *s, std::string desc = "");
     void addDistribution(const std::string &n, Distribution *d,
                          std::string desc = "");
 
     /** Look up a registered counter by name; panics if absent. */
     const Counter &counter(const std::string &n) const;
-    /** Look up a registered scalar by name; panics if absent. */
-    const Scalar &scalar(const std::string &n) const;
     /** Look up a registered distribution by name; panics if absent. */
     const Distribution &distribution(const std::string &n) const;
-
-    /** @return true if a counter with this name exists. */
-    bool hasCounter(const std::string &n) const
-    {
-        return counters.find(n) != nullptr;
-    }
 
     /** Visit every registered counter in name order. */
     void
@@ -277,16 +252,6 @@ class StatGroup
             &fn) const
     {
         for (const auto &e : counters.v)
-            fn(e.name, e.stat);
-    }
-
-    /** Visit every registered scalar in name order. */
-    void
-    forEachScalar(
-        const std::function<void(const std::string &, const Scalar *)>
-            &fn) const
-    {
-        for (const auto &e : scalars.v)
             fn(e.name, e.stat);
     }
 
@@ -355,7 +320,6 @@ class StatGroup
 
     std::string _name;
     NamedTable<Counter> counters;
-    NamedTable<Scalar> scalars;
     NamedTable<Distribution> dists;
 };
 

@@ -37,9 +37,6 @@ MetricsRegistry::importStatGroup(const StatGroup &group,
     group.forEachCounter([&](const std::string &n, const Counter *c) {
         addCounter(prefix + n, c);
     });
-    group.forEachScalar([&](const std::string &n, const Scalar *s) {
-        addGauge(prefix + n, [s]() { return s->value(); });
-    });
 }
 
 void

@@ -9,7 +9,7 @@
  * (DESIGN.md 3b calibration) next to the end-of-run stats block.
  *
  * The registry does not own counters: components keep their existing
- * Counter/Scalar members and the registry holds read-only accessors,
+ * Counter members and the registry holds read-only accessors,
  * so there is no hot-path cost beyond what the stats package already
  * pays. Like the TraceSink it is per-System state -- never global --
  * preserving the ParallelRunner determinism contract.
@@ -45,7 +45,7 @@ class MetricsRegistry
     void addGauge(const std::string &path, std::function<double()> fn);
 
     /**
-     * Track every counter and scalar registered in @p group, with
+     * Track every counter registered in @p group, with
      * @p prefix prepended to each stat name.
      */
     void importStatGroup(const StatGroup &group,

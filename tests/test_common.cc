@@ -191,16 +191,6 @@ TEST(Stats, CounterBasics)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Stats, ScalarBasics)
-{
-    Scalar s;
-    s.set(2.5);
-    s.add(0.5);
-    EXPECT_DOUBLE_EQ(s.value(), 3.0);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-}
-
 TEST(Stats, DistributionBuckets)
 {
     Distribution d;
@@ -342,20 +332,14 @@ TEST(Stats, GroupRegistrationAndLookup)
 {
     StatGroup g("sys");
     Counter c;
-    Scalar s;
     Distribution d;
     d.init(0, 3, 1);
     g.addCounter("hits", &c, "hit count");
-    g.addScalar("ipc", &s);
     g.addDistribution("reuse", &d);
     c.inc(7);
-    s.set(1.25);
     d.sample(2);
     EXPECT_EQ(g.counter("hits").value(), 7u);
-    EXPECT_DOUBLE_EQ(g.scalar("ipc").value(), 1.25);
     EXPECT_EQ(g.distribution("reuse").samples(), 1u);
-    EXPECT_TRUE(g.hasCounter("hits"));
-    EXPECT_FALSE(g.hasCounter("misses"));
 }
 
 TEST(Stats, GroupResetAll)
@@ -384,19 +368,15 @@ TEST(Stats, CsvDumpHasHeaderAndRows)
 {
     StatGroup g("sys");
     Counter c;
-    Scalar s;
     Distribution d;
     d.init(0, 3, 1);
     c.inc(5);
-    s.set(1.5);
     d.sample(2);
     g.addCounter("hits", &c);
-    g.addScalar("ipc", &s);
     g.addDistribution("reuse", &d);
     std::string csv = g.dumpCsv();
     EXPECT_EQ(csv.rfind("stat,value\n", 0), 0u);
     EXPECT_NE(csv.find("sys.hits,5\n"), std::string::npos);
-    EXPECT_NE(csv.find("sys.ipc,1.500000\n"), std::string::npos);
     EXPECT_NE(csv.find("sys.reuse.samples,1\n"), std::string::npos);
     EXPECT_NE(csv.find("sys.reuse.mean,2.000000\n"), std::string::npos);
 }

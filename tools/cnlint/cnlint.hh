@@ -31,7 +31,7 @@
  *             sorted container
  *   CNL-D004  pointer-keyed std::map/std::set; pointer order varies
  *             run to run
- *   CNL-S002  Counter/Scalar/Distribution member never registered
+ *   CNL-S002  Counter/Distribution member never registered
  *             with a StatGroup/MetricsRegistry (invisible stat)
  *   CNL-H001  `using namespace` in a header
  *   CNL-H002  missing or malformed include guard (expects

@@ -34,7 +34,7 @@ namespace
 /** Cross-file context shared by all rules. */
 struct Context
 {
-    /** Stat member names passed by address to add{Counter,Scalar,
+    /** Stat member names passed by address to add{Counter,
      *  Distribution} anywhere in the scanned set. */
     std::set<std::string> registered_stats;
 };
@@ -95,7 +95,7 @@ void
 collectStatRegistrations(const SourceFile &f, Context &ctx)
 {
     static const std::set<std::string> regs = {
-        "addCounter", "addScalar", "addDistribution"};
+        "addCounter", "addDistribution"};
     const Tokens &ts = f.tokens;
     for (std::size_t i = 0; i + 1 < ts.size(); ++i) {
         if (ts[i].kind != TokKind::Ident || !regs.count(ts[i].text) ||
@@ -342,7 +342,7 @@ void
 ruleS002UnregisteredStat(const SourceFile &f, const Context &ctx,
                          std::vector<Finding> &out)
 {
-    static const std::set<std::string> stat_types = {"Counter", "Scalar",
+    static const std::set<std::string> stat_types = {"Counter",
                                                      "Distribution"};
     const Tokens &ts = f.tokens;
     for (std::size_t i = 0; i + 2 < ts.size(); ++i) {
@@ -367,7 +367,7 @@ ruleS002UnregisteredStat(const SourceFile &f, const Context &ctx,
         if (!ctx.registered_stats.count(name.text)) {
             emit(f, out, name, "CNL-S002",
                  ts[i].text + " member '" + name.text +
-                     "' is never registered via addCounter/addScalar/"
+                     "' is never registered via addCounter/"
                      "addDistribution, so it is invisible in every "
                      "stats dump");
         }
@@ -763,7 +763,7 @@ ruleCatalog()
          "iteration over std::unordered_{map,set} leaks hash order",
          true},
         {"CNL-D004", "pointer-keyed std::map/std::set", true},
-        {"CNL-S002", "Counter/Scalar/Distribution member never "
+        {"CNL-S002", "Counter/Distribution member never "
                      "registered with a StatGroup",
          true},
         {"CNL-H001", "'using namespace' in a header", false},
