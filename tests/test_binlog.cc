@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "obs/binlog.hh"
 #include "obs/event.hh"
 
@@ -34,7 +36,10 @@ namespace
 std::string
 tmpPath(const std::string &tag)
 {
-    return std::string(::testing::TempDir()) + "cnsim_binlog_" + tag;
+    // ctest runs each test in its own process, several at once: the pid
+    // keeps two tests from writing one file.
+    return std::string(::testing::TempDir()) + "cnsim_binlog_" +
+           std::to_string(::getpid()) + "_" + tag;
 }
 
 std::string
