@@ -13,10 +13,13 @@
  * returned in submission order.
  *
  * Thread-safety contract: a job must not touch process-global mutable
- * state. The simulator's only global is the logging quiet flag /
- * stderr stream, which common/logging.cc makes thread-safe; System,
- * SynthWorkload, EventQueue, Rng, and StatGroup are all per-job
- * instances.
+ * state other than the three pieces made safe for it. The logging
+ * quiet flag and stderr stream are thread-safe (common/logging.cc).
+ * TraceCache::global(), which every worker's Runner::run reads to find
+ * or share its materialized stream, is guarded by a mutex. And
+ * sample::WarmScope's depth is thread_local, so one worker's
+ * functional warming never reaches another. System, SynthWorkload,
+ * EventQueue, Rng, and StatGroup are all per-job instances.
  */
 
 #ifndef CNSIM_SIM_PARALLEL_RUNNER_HH
